@@ -101,10 +101,12 @@ def bottleneck_forward(x: np.ndarray, p: BottleneckParams, tap: Tap | None = Non
         )
     inner = x
     if p.expand is not None:
-        inner = relu6(conv2d(inner, p.expand))
+        inner = conv2d(inner, p.expand)
+        inner = relu6(inner, out=inner)
         if tap is not None:
             tap("expand", inner)
-    inner = relu6(depthwise_conv(inner, p.depthwise))
+    inner = depthwise_conv(inner, p.depthwise)
+    inner = relu6(inner, out=inner)
     if tap is not None:
         tap("depthwise", inner)
     out = conv2d(inner, p.project)
@@ -136,13 +138,3 @@ def bottleneck_madds(
     dwise = oh * ow * kernel * kernel * inner
     project = oh * ow * inner * out_channels
     return expand + dwise + project
-
-
-def bottleneck_params_count(p: BottleneckParams) -> int:
-    """Stored parameters: all stage weights plus per-channel biases."""
-    total = 0
-    if p.expand is not None:
-        total += p.expand.weights.size + p.expand.bias.size
-    total += p.depthwise.weights.size + p.depthwise.bias.size
-    total += p.project.weights.size + p.project.bias.size
-    return int(total)

@@ -60,6 +60,17 @@ def _check_model_flags(alpha: float, res: int, classes: int) -> None:
         raise _usage(f"--classes must be >= 1, got {classes}")
 
 
+def _seed(text: str) -> int:
+    """argparse type for seeds: the 64-bit unsigned range ``Rng`` accepts."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+    if not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError(f"must be in [0, 2**64), got {value}")
+    return value
+
+
 def _emit(text: str) -> None:
     sys.stdout.write(text)
     if not text.endswith("\n"):
@@ -231,6 +242,8 @@ def cmd_infer(args) -> int:
         raise _usage("provide --input PATH or --random-input")
     if args.split is not None and args.split < 1:
         raise _usage(f"--split must be >= 1, got {args.split}")
+    if os.path.isdir(args.out):
+        raise _usage(f"--out must name a file, {args.out!r} is a directory")
     model = _load_or_random_model(args)
     if args.input is not None:
         x = load_tensor(args.input)
@@ -411,10 +424,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_model_flags(p)
     p.add_argument("--weights", default=None, help="weight container path")
     p.add_argument("--random-weights", action="store_true")
-    p.add_argument("--seed", type=int, default=0, help="weight seed")
+    p.add_argument("--seed", type=_seed, default=0, help="weight seed")
     p.add_argument("--input", default=None, help="input tensor path")
     p.add_argument("--random-input", action="store_true")
-    p.add_argument("--input-seed", type=int, default=1)
+    p.add_argument("--input-seed", type=_seed, default=1)
     p.add_argument("--split", type=int, default=None,
                    help="run blocks via t-way channel split")
     p.add_argument("--out", default="logits.bten")
@@ -428,13 +441,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--trials", type=int, default=100000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--format", choices=FORMATS, default="table")
     p.set_defaults(func=cmd_theory_collapse)
 
     p = tsub.add_parser("spiral", help="spiral embed/rectify/invert errors")
     p.add_argument("--dims", default="2,3,15,30")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--points", type=int, default=1000)
     p.add_argument("--format", choices=FORMATS, default="table")
     p.set_defaults(func=cmd_theory_spiral)
@@ -442,8 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = tsub.add_parser("activations", help="positive-channel statistics")
     add_model_flags(p)
     p.add_argument("--weights", default=None)
-    p.add_argument("--seed", type=int, default=5, help="weight seed")
-    p.add_argument("--input-seed", type=int, default=6)
+    p.add_argument("--seed", type=_seed, default=5, help="weight seed")
+    p.add_argument("--input-seed", type=_seed, default=6)
     p.add_argument("--batch", type=int, default=32)
     p.add_argument("--per-map", action="store_true",
                    help="count a channel once per image instead of per location")

@@ -1,9 +1,19 @@
 """Primitive operators: convolutions, activations, pooling, residual add.
 
 All operators are pure functions over (b, h, w, c) float32 tensors and are
-deterministic: the heavy lifting is a single vectorized numpy expression
-per tap or a single matmul, so repeated evaluation on identical inputs is
+deterministic: every result is a fixed sequence of float32 numpy ufunc
+passes or a single matmul, so repeated evaluation on identical inputs is
 bit-identical.
+
+Depthwise convolution copies its input once into zero-extended
+stride-phase planes: plane (py, px) holds padded rows py, py+s, ... and
+columns px, px+s, ..., so every kernel tap reads one contiguous slice of
+one flattened plane.  Each slice is multiplied by the tap's weights tiled
+across the plane width into a reused scratch buffer and added in place,
+so the inner loops run over whole rows however few channels there are.
+The extra columns this computes are dropped when the bias is added.
+Elementwise epilogues that follow a freshly produced tensor (the bias add
+in ``conv2d``, ``relu6(..., out=...)``) write in place.
 
 Padding convention
 ------------------
@@ -74,8 +84,8 @@ class Conv2dParams:
             raise InvalidShapeError(
                 f"conv bias must have shape ({self.out_channels},), got {self.bias.shape}"
             )
-        self.weights = np.ascontiguousarray(self.weights, dtype=np.float32)
-        self.bias = np.ascontiguousarray(self.bias, dtype=np.float32)
+        self.weights = np.asarray(self.weights, dtype=np.float32)
+        self.bias = np.asarray(self.bias, dtype=np.float32)
 
 
 @dataclass
@@ -102,8 +112,8 @@ class DepthwiseParams:
             raise InvalidShapeError(
                 f"depthwise bias must have shape ({self.channels},), got {self.bias.shape}"
             )
-        self.weights = np.ascontiguousarray(self.weights, dtype=np.float32)
-        self.bias = np.ascontiguousarray(self.bias, dtype=np.float32)
+        self.weights = np.asarray(self.weights, dtype=np.float32)
+        self.bias = np.asarray(self.bias, dtype=np.float32)
 
 
 def same_pad_amounts(size: int, kernel: int, stride: int) -> tuple[int, int, int]:
@@ -148,8 +158,8 @@ def conv2d(x: np.ndarray, p: Conv2dParams) -> np.ndarray:
                 ]
         out = cols.reshape(-1, k * k * c) @ p.weights.reshape(k * k * c, p.out_channels)
     _charge_madds(b * oh * ow * k * k * c * p.out_channels)
-    out = out + p.bias
-    return np.ascontiguousarray(out.reshape(b, oh, ow, p.out_channels), dtype=np.float32)
+    out += p.bias
+    return out.reshape(b, oh, ow, p.out_channels)
 
 
 def depthwise_conv(x: np.ndarray, p: DepthwiseParams) -> np.ndarray:
@@ -161,15 +171,48 @@ def depthwise_conv(x: np.ndarray, p: DepthwiseParams) -> np.ndarray:
             f"depthwise_conv expects {p.channels} channels, got {c}"
         )
     k, s = p.kernel, p.stride
-    xp, oh, ow = _pad_same(x, k, s)
-    out = np.zeros((b, oh, ow, c), dtype=np.float32)
+    oh, pt, _ = same_pad_amounts(h, k, s)
+    ow, pl, _ = same_pad_amounts(w, k, s)
+    # Plane (py, px)[r, j] is padded element (r*s + py, j*s + px).  Tap
+    # (ky, kx) reads rows ky//s .. ky//s + oh - 1 and columns kx//s ..
+    # kx//s + ow - 1 of plane (ky%s, kx%s); the plane is q = (k-1)//s
+    # columns wider than the output, plus one spare row so the flattened
+    # slice of the last tap stays in bounds.
+    q = (k - 1) // s
+    wq = ow + q
+    rows = oh + q + 1
+    phases = min(s, k)
+    planes = np.zeros((phases, phases, b, rows, wq, c), dtype=np.float32)
+    for py in range(phases):
+        r0, y0 = _phase_start(py - pt, s)
+        for px in range(phases):
+            j0, x0 = _phase_start(px - pl, s)
+            src = x[:, y0::s, x0::s, :][:, : rows - r0, : wq - j0, :]
+            planes[py, px, :, r0 : r0 + src.shape[1], j0 : j0 + src.shape[2], :] = src
+    flat = planes.reshape(phases, phases, b, rows * wq * c)
+    # Output rows in (b, oh, wq*c) layout; columns ow..wq are discarded.
+    n = oh * wq * c
+    taps = np.tile(p.weights.reshape(k, k, 1, c), (1, 1, wq, 1)).reshape(k, k, wq * c)
+    acc = np.zeros((b, oh, wq * c), dtype=np.float32)
+    prod = np.empty_like(acc)
     for ky in range(k):
         for kx in range(k):
-            tap = xp[:, ky : ky + (oh - 1) * s + 1 : s, kx : kx + (ow - 1) * s + 1 : s, :]
-            out += tap * p.weights[ky, kx, :]
+            start = ((ky // s) * wq + kx // s) * c
+            tap = flat[ky % s, kx % s, :, start : start + n].reshape(b, oh, wq * c)
+            np.multiply(tap, taps[ky, kx], out=prod)
+            acc += prod
+    del planes, flat, prod  # scratch goes before the output is allocated
     _charge_madds(b * oh * ow * k * k * c)
-    out += p.bias
+    out = np.empty((b, oh, ow, c), dtype=np.float32)
+    np.add(acc[:, :, : ow * c], np.tile(p.bias, ow), out=out.reshape(b, oh, ow * c))
     return out
+
+
+def _phase_start(first: int, stride: int) -> tuple[int, int]:
+    """(plane index, input index) of the first in-bounds element of a phase
+    whose plane index 0 sits at input index ``first`` (negative in the pad)."""
+    r = max(-(first // stride), 0)  # ceil(-first / stride), at least 0
+    return r, r * stride + first
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -177,9 +220,14 @@ def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, np.float32(0.0))
 
 
-def relu6(x: np.ndarray) -> np.ndarray:
-    """Elementwise min(max(x, 0), 6), the low-precision-friendly clamp."""
-    return np.minimum(np.maximum(x, np.float32(0.0)), np.float32(6.0))
+def relu6(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise min(max(x, 0), 6), the low-precision-friendly clamp.
+
+    Pure by default; ``out=x`` clamps a tensor the caller just produced in
+    place.  max-then-min, not ``np.clip``: the bytes differ on -0.0.
+    """
+    y = np.maximum(x, np.float32(0.0), out=out)
+    return np.minimum(y, np.float32(6.0), out=y)
 
 
 def global_avgpool(x: np.ndarray) -> np.ndarray:

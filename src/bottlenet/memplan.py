@@ -481,7 +481,8 @@ def cascade_execute(
                 weights=p.expand.weights[:, :, :, start:stop],
                 bias=p.expand.bias[start:stop],
             )
-            g = relu6(conv2d(x, sub))
+            g = conv2d(x, sub)
+            g = relu6(g, out=g)
         else:
             g = x[:, :, :, start:stop]
         sub_dw = DepthwiseParams(
@@ -489,18 +490,19 @@ def cascade_execute(
             weights=p.depthwise.weights[:, :, start:stop],
             bias=p.depthwise.bias[start:stop],
         )
-        g = relu6(depthwise_conv(g, sub_dw))
+        g = depthwise_conv(g, sub_dw)
+        g = relu6(g, out=g)
         sub_proj = Conv2dParams(
             kernel=1, stride=1, in_channels=width, out_channels=p.out_channels,
             weights=p.project.weights[:, :, start:stop, :],
             bias=np.zeros(p.out_channels, dtype=np.float32),
         )
         acc += conv2d(g, sub_proj)
-    out = acc + p.project.bias
+    acc += p.project.bias
     if p.use_shortcut:
-        out = out + x
+        acc += x
     peak = cascade_peak_bytes(p, h, w, plan, bytes_per_activation=4, batch=b)
-    return out, peak
+    return acc, peak
 
 
 def memory_table(

@@ -182,7 +182,7 @@ class Model:
             if isinstance(layer, ConvLayer):
                 x = conv2d(x, layer.params)
                 if layer.activation == "relu6":
-                    x = relu6(x)
+                    x = relu6(x, out=x)
                     if tap is not None:
                         tap(layer.name, x)
             elif isinstance(layer, BottleneckLayer):

@@ -69,6 +69,27 @@ def naive_depthwise(x: np.ndarray, p: DepthwiseParams) -> np.ndarray:
     return out.astype(np.float32)
 
 
+def seed_depthwise(x: np.ndarray, p: DepthwiseParams) -> np.ndarray:
+    """The original depthwise loop, kept as the byte-exactness reference.
+
+    np.pad, then one strided broadcast multiply per tap added into a zeroed
+    float32 output in (ky, kx) order, bias last.  The production kernel
+    must reproduce these float32 operations, and so these bytes, exactly.
+    """
+    b, h, w, c = x.shape
+    k, s = p.kernel, p.stride
+    oh, pt, pb = same_pad_amounts(h, k, s)
+    ow, pl, pr = same_pad_amounts(w, k, s)
+    xp = np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
+    out = np.zeros((b, oh, ow, c), dtype=np.float32)
+    for ky in range(k):
+        for kx in range(k):
+            tap = xp[:, ky : ky + (oh - 1) * s + 1 : s, kx : kx + (ow - 1) * s + 1 : s, :]
+            out += tap * p.weights[ky, kx, :]
+    out += p.bias
+    return out
+
+
 def positive_conv(rng: Rng, kernel: int, stride: int, cin: int, cout: int,
                   scale: float = 0.1) -> Conv2dParams:
     return Conv2dParams(

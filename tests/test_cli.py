@@ -13,6 +13,7 @@ from bottlenet.tensor import Rng, load_tensor, random_gaussian, save_tensor
 from bottlenet.weights import save_weights
 
 SMALL = ["--alpha", "0.35", "--res", "96", "--classes", "10"]
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run_cli(args, capsys):
@@ -23,6 +24,8 @@ def run_cli(args, capsys):
 
 def run_subprocess(args, env_extra=None):
     env = dict(os.environ)
+    # The child runs outside the repository, so the package path is absolute.
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -182,6 +185,23 @@ class TestInfer:
         a, b = load_tensor(base), load_tensor(split)
         scale = float(np.max(np.abs(a)))
         assert float(np.max(np.abs(a - b))) <= 1e-5 * scale
+
+    @pytest.mark.parametrize("flag", ["--seed", "--input-seed"])
+    def test_negative_seed_exit_2(self, capsys, tmp_path, flag):
+        code, _, err = run_cli(
+            ["infer", *SMALL, "--random-weights", "--random-input", flag, "-1",
+             "--out", str(tmp_path / "l.bten")], capsys)
+        assert code == 2
+        assert f"argument {flag}:" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "l.bten").exists()
+
+    def test_out_directory_exit_2(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            ["infer", *SMALL, "--random-weights", "--random-input",
+             "--out", str(tmp_path)], capsys)
+        assert code == 2
+        assert "--out" in err
 
 
 class TestTheoryCommands:

@@ -18,7 +18,13 @@ from bottlenet.kernels import (
 )
 from bottlenet.tensor import Rng, max_abs_rel_diff, new_tensor, random_gaussian
 
-from conftest import naive_conv2d, naive_depthwise, positive_conv, positive_depthwise
+from conftest import (
+    naive_conv2d,
+    naive_depthwise,
+    positive_conv,
+    positive_depthwise,
+    seed_depthwise,
+)
 
 
 def identity_conv_1x1(channels: int) -> Conv2dParams:
@@ -125,6 +131,29 @@ class TestDepthwise:
         with pytest.raises(ChannelMismatchError):
             depthwise_conv(new_tensor((1, 4, 4, 3), 1.0), positive_depthwise(Rng(0), 3, 1, 5))
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        b=st.integers(1, 3), h=st.integers(1, 12), w=st.integers(1, 12),
+        c=st.integers(1, 9), kernel=st.sampled_from([1, 3]), stride=st.sampled_from([1, 2]),
+        lo=st.integers(0, 3), hi=st.integers(0, 3), zeros=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bytes_match_seed_loop(self, b, h, w, c, kernel, stride, lo, hi, zeros, seed):
+        # Inputs and weights are channel slices of wider arrays: strided
+        # views whenever lo or hi is nonzero.
+        rng = Rng(seed)
+        wide = lo + c + hi
+        x = random_gaussian((b, h, w, wide), rng)
+        if zeros:
+            x[..., ::2] = 0.0
+            x[:, ::2, :, 1::2] = -0.0
+        weights = rng.normal((kernel, kernel, wide))
+        p = DepthwiseParams(kernel, stride, c, weights[..., lo : lo + c],
+                            rng.normal((wide,))[lo : lo + c])
+        assert np.shares_memory(p.weights, weights)
+        xs = x[..., lo : lo + c]
+        assert depthwise_conv(xs, p).tobytes() == seed_depthwise(xs, p).tobytes()
+
 
 class TestActivations:
     def test_relu6_definition_cases(self):
@@ -139,6 +168,23 @@ class TestActivations:
         x = random_gaussian((1, 5, 5, 3), Rng(4), stddev=4.0)
         once = relu6(x)
         assert relu6(once).tobytes() == once.tobytes()
+
+    def test_relu6_leaves_input_unchanged(self):
+        x = random_gaussian((1, 5, 5, 3), Rng(7), stddev=4.0)
+        before = x.tobytes()
+        relu6(x)
+        assert x.tobytes() == before
+
+    def test_relu6_in_place_same_bytes(self):
+        x = np.array([-1, -0.0, 0, np.nan, 3, 6, 9, -np.inf, np.inf],
+                     np.float32).reshape(1, 1, 1, 9)
+        pure = relu6(x)
+        # max then min maps -0.0 to +0.0; np.clip would keep the sign bit.
+        assert pure.tobytes() == np.minimum(np.maximum(x, 0), 6).astype(np.float32).tobytes()
+        assert not np.signbit(pure[0, 0, 0, 1])
+        y = x.copy()
+        assert relu6(y, out=y) is y
+        assert y.tobytes() == pure.tobytes()
 
     def test_relu_definition(self):
         x = np.array([-2, 0, 5], np.float32).reshape(1, 1, 1, 3)

@@ -22,8 +22,8 @@ from bottlenet.memplan import (
     schedule_memory,
     unique_topological_order,
 )
-from bottlenet.model import ModelSpec, make_bottleneck
-from bottlenet.tensor import Rng, max_abs_rel_diff
+from bottlenet.model import ModelSpec, build_model, make_bottleneck
+from bottlenet.tensor import Rng, max_abs_rel_diff, random_gaussian
 
 from conftest import exhaustive_schedules
 
@@ -310,6 +310,49 @@ class TestCascade:
         ref = bottleneck_forward(x, p)
         got, _ = cascade_execute(x, p, CascadePlan.from_split(192, 3))
         assert max_abs_rel_diff(ref, got) < 1e-5
+
+
+def cascade_runner(split):
+    def run(x, p):
+        plan = CascadePlan.from_split(p.expanded_channels, min(split, p.expanded_channels))
+        return cascade_execute(x, p, plan)[0]
+    return run
+
+
+class TestCascadeOnModel:
+    SPEC = ModelSpec(resolution=96, width_multiplier=0.35, classes=10)
+
+    def test_every_block_matches_monolithic(self):
+        model = build_model(self.SPEC).randomize(Rng(11))
+        stem = model.layers[0].params
+        x = kernels.relu6(kernels.conv2d(random_gaussian((2, 96, 96, 3), Rng(12)), stem))
+        blocks = model.bottleneck_layers()
+        assert len(blocks) == 17
+        for layer in blocks:
+            p = layer.params
+            kernels.reset_madd_counter()
+            ref = bottleneck_forward(x, p)
+            mono_madds = kernels.madd_count()
+            scale = float(np.max(np.abs(ref)))
+            for split in (1, 2, 4, 8):
+                kernels.reset_madd_counter()
+                got = cascade_runner(split)(x, p)
+                assert kernels.madd_count() == mono_madds, (layer.name, split)
+                if split == 1:
+                    assert got.tobytes() == ref.tobytes(), layer.name
+                else:
+                    assert float(np.max(np.abs(got - ref))) <= 1e-5 * scale, (layer.name, split)
+            x = ref
+
+    def test_new_weights_reach_next_call(self):
+        model = build_model(self.SPEC).randomize(Rng(21))
+        x = random_gaussian((1, 96, 96, 3), Rng(22))
+        before = model.forward(x, block_runner=cascade_runner(4))
+        fresh = build_model(self.SPEC).randomize(Rng(23))
+        model.set_parameters(dict(fresh.parameters()))
+        after = model.forward(x, block_runner=cascade_runner(4))
+        assert after.tobytes() != before.tobytes()
+        assert after.tobytes() == fresh.forward(x, block_runner=cascade_runner(4)).tobytes()
 
 
 class TestGraphSerialization:
