@@ -97,7 +97,12 @@ def _table_lines(header: list[str], rows: list[list[str]]) -> str:
 
 
 def _json_dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    from .errors import InternalError
+
+    try:
+        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:  # NaN or infinity: not JSON
+        raise InternalError(f"non-finite value in JSON output: {exc}") from None
 
 
 def cmd_summarize(args) -> int:
@@ -321,6 +326,10 @@ def cmd_theory_spiral(args) -> int:
         raise _usage(f"--dims must be a comma-separated integer list, got {args.dims!r}")
     if not dims or any(d < 2 for d in dims):
         raise _usage(f"--dims entries must be >= 2, got {args.dims!r}")
+    if len(set(dims)) != len(dims):
+        raise _usage(f"--dims entries must be distinct, got {args.dims!r}")
+    if args.points < 2:
+        raise _usage(f"--points must be >= 2, got {args.points}")
     errors = spiral_experiment(dims, args.seed, points=args.points)
     if args.format == "json":
         _emit(_json_dump({

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .model import BottleneckLayer, ConvLayer, Model, ModelSpec, build_model
+from .model import LayerRecord, Model, ModelSpec, layer_walk
 
 
 def _out_hw(h: int, w: int, stride: int) -> tuple[int, int]:
@@ -79,57 +79,43 @@ class CostReport:
         return sum(r.bias_params for r in self.rows)
 
 
-def _conv_row(layer: ConvLayer, in_hw: tuple[int, int]) -> CostRow:
-    p = layer.params
-    madds = madds_standard_conv(in_hw[0], in_hw[1], p.in_channels, p.out_channels,
-                                p.kernel, p.stride)
-    return CostRow(
-        name=layer.name,
-        out_shape=layer.out_shape,
-        madds=madds,
-        params=int(p.weights.size + p.bias.size),
-        bias_params=int(p.bias.size),
-    )
-
-
-def _block_row(layer: BottleneckLayer, in_hw: tuple[int, int]) -> CostRow:
-    p = layer.params
-    h, w = in_hw
-    oh, ow = _out_hw(h, w, p.stride)
-    inner = p.expanded_channels
-    madds = 0
-    params = 0
-    bias = 0
-    if p.expand is not None:
-        madds += h * w * p.in_channels * inner
-        params += int(p.expand.weights.size + p.expand.bias.size)
+def _cost_row(r: LayerRecord) -> CostRow:
+    """MAdds and stored parameters of one layer, from its shapes alone."""
+    h, w = r.in_shape[:2]
+    oh, ow = r.out_shape[:2]
+    k2 = r.kernel * r.kernel
+    if r.kind == "conv":
+        madds = madds_standard_conv(h, w, r.in_channels, r.out_channels, r.kernel, r.stride)
+        return CostRow(r.name, r.out_shape, madds,
+                       k2 * r.in_channels * r.out_channels + r.out_channels,
+                       r.out_channels)
+    if r.kind == "pool":
+        return CostRow(r.name, r.out_shape, 0, 0, 0)
+    inner = r.inner
+    # Depthwise plus projection, then the expansion conv when the block has one.
+    madds = oh * ow * (k2 * inner + inner * r.out_channels)
+    params = k2 * inner + inner + inner * r.out_channels + r.out_channels
+    bias = inner + r.out_channels
+    if r.expand:
+        madds += h * w * r.in_channels * inner
+        params += r.in_channels * inner + inner
         bias += inner
-    madds += oh * ow * p.depthwise.kernel ** 2 * inner
-    madds += oh * ow * inner * p.out_channels
-    params += int(p.depthwise.weights.size + p.depthwise.bias.size)
-    params += int(p.project.weights.size + p.project.bias.size)
-    bias += inner + p.out_channels
-    return CostRow(layer.name, layer.out_shape, madds, params, bias)
-
-
-def cost_of_model(model: Model) -> CostReport:
-    """Per-layer table for an already-built model."""
-    rows: list[CostRow] = []
-    hw = (model.spec.resolution, model.spec.resolution)
-    for layer in model.layers:
-        if isinstance(layer, ConvLayer):
-            rows.append(_conv_row(layer, hw))
-        elif isinstance(layer, BottleneckLayer):
-            rows.append(_block_row(layer, hw))
-        else:
-            rows.append(CostRow(layer.name, layer.out_shape, 0, 0, 0))
-        hw = layer.out_shape[:2]
-    return CostReport(model.spec.resolution, model.spec.width_multiplier, rows)
+    return CostRow(r.name, r.out_shape, madds, params, bias)
 
 
 def model_cost(spec: ModelSpec) -> CostReport:
     """Per-layer table plus totals for the network ``spec`` describes."""
-    return cost_of_model(build_model(spec))
+    rows = [_cost_row(r) for r in layer_walk(spec)]
+    return CostReport(spec.resolution, spec.width_multiplier, rows)
+
+
+def cost_of_model(model: Model) -> CostReport:
+    """Per-layer table for an already-built model.
+
+    ``build_model`` materializes its layers from ``layer_walk(model.spec)``,
+    so the table is costed from those same records.
+    """
+    return model_cost(model.spec)
 
 
 def instrumented_count(model: Model, x: np.ndarray) -> int:

@@ -13,7 +13,14 @@ Three related tools live here:
   running peak as the bound and a dominance memo on the executed set.
   Exact up to a configurable op-count limit; beyond it the caller should
   fall back to ``greedy_memory_schedule``, which is clearly labeled
-  non-optimal.
+  non-optimal.  Both searches run on integer tables built per call: an
+  op-set is a bitmask, each op carries its predecessor mask, the bytes
+  its step adds and keeps live, and per input the mask of that tensor's
+  consumers, so the live bytes after a step follow from the executed
+  mask alone and are passed down as an int with nothing to undo.
+  Candidates are tried in ascending op index; the exact search keeps
+  the first order that reaches the smallest peak, and the greedy one
+  breaks equal step costs toward the lower index.
 
 * ``cascade_execute`` runs a bottleneck block as a sum over channel
   groups of the expanded tensor.  Because the inner stages act
@@ -42,7 +49,7 @@ import numpy as np
 from .blocks import BottleneckParams
 from .errors import GraphError, GraphTooLargeError, InvalidShapeError
 from .kernels import Conv2dParams, DepthwiseParams, conv2d, depthwise_conv, relu6
-from .model import BottleneckLayer, ModelSpec, build_model
+from .model import ModelSpec, layer_walk
 from .tensor import assert_activation
 
 
@@ -92,26 +99,25 @@ class ComputeGraph:
             for t in op.inputs:
                 self.consumers[t].append(i)
         self.op_index = {op.name: i for i, op in enumerate(self.ops)}
-        # Predecessor ops (producers of non-source inputs).
+        # Predecessor ops (producers of non-source inputs) and successors.
         self.preds: list[set[int]] = []
-        for op in self.ops:
+        self.succs: list[list[int]] = [[] for _ in self.ops]
+        for i, op in enumerate(self.ops):
             self.preds.append(
                 {self.producer[t] for t in op.inputs if t in self.producer}
             )
+            for p in self.preds[i]:
+                self.succs[p].append(i)
         self._check_acyclic()
 
     def _check_acyclic(self) -> None:
         indeg = [len(p) for p in self.preds]
-        succs: list[list[int]] = [[] for _ in self.ops]
-        for i, preds in enumerate(self.preds):
-            for p in preds:
-                succs[p].append(i)
         ready = [i for i, d in enumerate(indeg) if d == 0]
         seen = 0
         while ready:
             i = ready.pop()
             seen += 1
-            for j in succs[i]:
+            for j in self.succs[i]:
                 indeg[j] -= 1
                 if indeg[j] == 0:
                     ready.append(j)
@@ -204,81 +210,57 @@ def schedule_memory(g: ComputeGraph, schedule: Schedule | tuple[str, ...]) -> Me
     if not g.is_topological(order):
         raise GraphError("schedule is not a topological order of the graph")
     pos = {name: k for k, name in enumerate(order)}
-    produced_at: dict[str, int] = {}
-    last_use: dict[str, int] = {}
-    for t in g.tensors:
+    # A tensor is live from its producing step (sources: step 0) through
+    # its last use; an unconsumed output is live at its own step and an
+    # unused source never.  One delta per start and per end, then a sweep.
+    delta = [0] * (len(order) + 1)
+    for t, node in g.tensors.items():
         prod = g.producer.get(t)
-        produced_at[t] = -1 if prod is None else pos[g.ops[prod].name]
+        start = 0 if prod is None else pos[g.ops[prod].name]
         uses = [pos[g.ops[c].name] for c in g.consumers[t]]
         if prod is not None:
-            uses.append(produced_at[t])  # an unconsumed output is live at its step
-        last_use[t] = max(uses) if uses else -2  # unused source: never live
+            uses.append(start)
+        if uses:
+            delta[start] += node.nbytes
+            delta[max(uses) + 1] -= node.nbytes
     steps: list[StepCost] = []
-    peak = 0
+    peak = live = 0
     for k, name in enumerate(order):
-        op = g.ops[g.op_index[name]]
-        live = sum(
-            g.tensors[t].nbytes
-            for t in g.tensors
-            if produced_at[t] <= k <= last_use[t]
-        )
-        steps.append(StepCost(name, live, op.workspace))
-        peak = max(peak, live + op.workspace)
+        live += delta[k]
+        workspace = g.ops[g.op_index[name]].workspace
+        steps.append(StepCost(name, live, workspace))
+        peak = max(peak, live + workspace)
     return MemoryReport(peak_bytes=peak, steps=steps)
 
 
-class _SearchState:
-    """Incremental liveness bookkeeping shared by the search strategies."""
+def _search_tables(g: ComputeGraph):
+    """Integer tables the searches run on, one row per op:
+    (index, bit, predecessor mask, bytes the step adds (outputs plus
+    workspace), bytes its outputs keep live, ((consumer mask, bytes) per
+    input)), plus the live bytes before any op runs.
 
-    def __init__(self, g: ComputeGraph):
-        self.g = g
-        self.refcount = {t: len(g.consumers[t]) for t in g.tensors}
-        self.live = {t: g.tensors[t].nbytes for t in g.sources() if self.refcount[t] > 0}
-        self.live_bytes = sum(self.live.values())
-        self.remaining_preds = [len(p) for p in g.preds]
-        self.succs: list[list[int]] = [[] for _ in g.ops]
-        for i, preds in enumerate(g.preds):
-            for p in preds:
-                self.succs[p].append(i)
-
-    def step_cost(self, i: int) -> int:
-        op = self.g.ops[i]
-        fresh = sum(self.g.tensors[t].nbytes for t in op.outputs)
-        return self.live_bytes + fresh + op.workspace
-
-    def execute(self, i: int):
-        """Apply op i; returns an undo record."""
-        op = self.g.ops[i]
-        freed: list[tuple[str, int]] = []
-        added: list[str] = []
+    A tensor is live while any of its consumers has not run, so the live
+    bytes of an executed set follow from the masks alone.
+    """
+    size = {name: t.nbytes for name, t in g.tensors.items()}
+    cons = dict.fromkeys(size, 0)
+    for i, op in enumerate(g.ops):
+        for t in op.inputs:
+            cons[t] |= 1 << i
+    rows = []
+    for i, op in enumerate(g.ops):
+        preds = 0
+        for p in g.preds[i]:
+            preds |= 1 << p
+        out = keep = 0
         for t in op.outputs:
-            self.live[t] = self.g.tensors[t].nbytes
-            self.live_bytes += self.g.tensors[t].nbytes
-            added.append(t)
-        for t in op.inputs:
-            self.refcount[t] -= 1
-        # Free inputs that are now dead and outputs nobody consumes.
-        for t in list(op.inputs) + list(op.outputs):
-            if self.refcount[t] == 0 and t in self.live:
-                freed.append((t, self.live.pop(t)))
-                self.live_bytes -= freed[-1][1]
-        for j in self.succs[i]:
-            self.remaining_preds[j] -= 1
-        return (op, freed, added)
-
-    def undo(self, i: int, record) -> None:
-        op, freed, added = record
-        for j in self.succs[i]:
-            self.remaining_preds[j] += 1
-        for t, nbytes in freed:
-            self.live[t] = nbytes
-            self.live_bytes += nbytes
-        for t in op.inputs:
-            self.refcount[t] += 1
-        for t in added:
-            if t in self.live:
-                self.live_bytes -= self.live[t]
-                del self.live[t]
+            out += size[t]
+            if cons[t]:
+                keep += size[t]
+        frees = tuple([(cons[t], size[t]) for t in op.inputs])
+        rows.append((i, 1 << i, preds, out + op.workspace, keep, frees))
+    live = sum([size[t] for t in g.sources() if cons[t]])
+    return rows, live
 
 
 def min_memory_schedule(g: ComputeGraph, exact_limit: int = 16) -> tuple[Schedule, int]:
@@ -297,61 +279,72 @@ def min_memory_schedule(g: ComputeGraph, exact_limit: int = 16) -> tuple[Schedul
         raise GraphTooLargeError(
             f"graph has {n} ops, exact search limited to {exact_limit}"
         )
-    state = _SearchState(g)
-    best_peak = None
-    best_order: list[int] | None = None
+    rows, live0 = _search_tables(g)
+    full = (1 << n) - 1
+    # Above any step cost, so the first complete order always replaces it.
+    best_peak = live0 + sum(r[3] for r in rows) + 1
+    best_order: list[int] = []
     order: list[int] = []
     # Dominance memo: executed-set -> smallest running peak that reached it.
     memo: dict[int, int] = {}
 
-    def dfs(mask: int, running_peak: int) -> None:
+    def dfs(mask: int, live: int, running_peak: int) -> None:
         nonlocal best_peak, best_order
-        if best_peak is not None and running_peak >= best_peak:
-            return
-        seen = memo.get(mask)
-        if seen is not None and seen <= running_peak:
+        if running_peak >= best_peak:
             return
         memo[mask] = running_peak
-        if len(order) == n:
-            if best_peak is None or running_peak < best_peak:
-                best_peak = running_peak
-                best_order = list(order)
+        if mask == full:
+            best_peak = running_peak
+            best_order = list(order)
             return
-        for i in range(n):
-            if mask & (1 << i) or state.remaining_preds[i] != 0:
+        for i, bit, preds, add, keep, frees in rows:
+            if mask & bit or preds & ~mask:
                 continue
-            cost = state.step_cost(i)
-            new_peak = max(running_peak, cost)
-            if best_peak is not None and new_peak >= best_peak:
+            new_peak = live + add
+            if new_peak < running_peak:
+                new_peak = running_peak
+            if new_peak >= best_peak:
                 continue
-            record = state.execute(i)
+            done = mask | bit
+            # The memo is read before descending: a dominated child costs no call.
+            seen = memo.get(done)
+            if seen is not None and seen <= new_peak:
+                continue
+            after = live + keep
+            for consumers, nbytes in frees:
+                if not consumers & ~done:
+                    after -= nbytes
             order.append(i)
-            dfs(mask | (1 << i), new_peak)
+            dfs(done, after, new_peak)
             order.pop()
-            state.undo(i, record)
 
-    dfs(0, 0)
-    assert best_order is not None and best_peak is not None
+    dfs(0, live0, 0)
     names = tuple(g.ops[i].name for i in best_order)
     return Schedule(order=names, optimal=True), best_peak
 
 
 def greedy_memory_schedule(g: ComputeGraph) -> tuple[Schedule, int]:
-    """Cheapest-next-step heuristic order; peak is an upper bound only."""
-    state = _SearchState(g)
-    n = len(g.ops)
-    done = [False] * n
+    """Cheapest-next-step heuristic order; peak is an upper bound only.
+
+    Ties between equally cheap steps go to the lowest op index.
+    """
+    rows, live = _search_tables(g)
+    ready = [row for row in rows if not row[2]]
+    mask = 0
     order: list[int] = []
     peak = 0
-    for _ in range(n):
-        candidates = [
-            i for i in range(n) if not done[i] and state.remaining_preds[i] == 0
-        ]
-        i = min(candidates, key=lambda i: (state.step_cost(i), i))
-        peak = max(peak, state.step_cost(i))
-        state.execute(i)
-        done[i] = True
+    while ready:
+        row = min(ready, key=lambda r: (live + r[3], r[0]))
+        ready.remove(row)
+        i, bit, _, add, keep, frees = row
+        peak = max(peak, live + add)
+        mask |= bit
+        live += keep
+        for consumers, nbytes in frees:
+            if not consumers & ~mask:
+                live -= nbytes
         order.append(i)
+        ready += [rows[j] for j in g.succs[i] if not rows[j][2] & ~mask]
     names = tuple(g.ops[i].name for i in order)
     return Schedule(order=names, optimal=False), peak
 
@@ -359,10 +352,6 @@ def greedy_memory_schedule(g: ComputeGraph) -> tuple[Schedule, int]:
 def unique_topological_order(g: ComputeGraph) -> tuple[str, ...]:
     """The single feasible order, or GraphError if the graph branches."""
     remaining = [len(p) for p in g.preds]
-    succs: list[list[int]] = [[] for _ in g.ops]
-    for i, preds in enumerate(g.preds):
-        for p in preds:
-            succs[p].append(i)
     done = [False] * len(g.ops)
     order: list[str] = []
     for _ in range(len(g.ops)):
@@ -374,19 +363,18 @@ def unique_topological_order(g: ComputeGraph) -> tuple[str, ...]:
         i = ready[0]
         done[i] = True
         order.append(g.ops[i].name)
-        for j in succs[i]:
+        for j in g.succs[i]:
             remaining[j] -= 1
     return tuple(order)
 
 
 def linear_bound_memory(g: ComputeGraph) -> int:
-    """Closed-form peak for graphs whose only parallelism is shortcuts.
+    """Peak of the unique schedule of a graph whose only parallelism is
+    shortcuts: ``schedule_memory`` evaluated on ``unique_topological_order``
+    (GraphError if the graph branches).
 
-    Equals max over ops of (inputs + outputs + workspace + tensors carried
-    across the op).  On block-granular chains nothing is carried and this
-    is literally the max combined input/output size over operations; it
-    always equals the peak of the unique schedule, which is how it is
-    computed.
+    On block-granular chains nothing is carried across an op, so this is
+    the max combined input/output size (plus workspace) over operations.
     """
     order = unique_topological_order(g)
     return schedule_memory(g, order).peak_bytes
@@ -523,17 +511,14 @@ def memory_table(
         raise InvalidShapeError(
             f"bytes_per_activation must be 2 or 4, got {bytes_per_activation}"
         )
-    model = build_model(spec)
     per_res: dict[int, int] = {}
-    prev_res = spec.resolution
     first_block_res = None
-    for layer in model.layers:
-        if isinstance(layer, BottleneckLayer):
+    for layer in layer_walk(spec):
+        if layer.kind == "block":
+            res = layer.in_shape[0]
             if first_block_res is None:
-                first_block_res = prev_res
-            out_ch = layer.out_shape[2]
-            per_res[prev_res] = max(per_res.get(prev_res, 0), out_ch)
-        prev_res = layer.out_shape[0]
+                first_block_res = res
+            per_res[res] = max(per_res.get(res, 0), layer.out_channels)
     rows = []
     for res in sorted(per_res, reverse=True):
         streamed = stream_first and res == first_block_res
@@ -562,8 +547,7 @@ def block_graph(
     where the high-resolution prefix is handled by streamed execution and
     the planner only sees the materialized tail.
     """
-    model = build_model(spec)
-    blocks = model.bottleneck_layers()
+    blocks = [layer for layer in layer_walk(spec) if layer.kind == "block"]
     if not 0 <= first_block < len(blocks):
         raise GraphError(f"first_block {first_block} out of range")
     bpa = bytes_per_activation
@@ -571,14 +555,7 @@ def block_graph(
     def nbytes(shape: tuple[int, int, int]) -> int:
         return shape[0] * shape[1] * shape[2] * bpa
 
-    # Input of block[first_block] is the output of whatever precedes it.
-    idx = model.layers.index(blocks[first_block])
-    in_shape = (
-        model.layers[idx - 1].out_shape
-        if idx > 0
-        else (spec.resolution, spec.resolution, 3)
-    )
-    tensors = [TensorNode("in", nbytes(in_shape))]
+    tensors = [TensorNode("in", nbytes(blocks[first_block].in_shape))]
     ops = []
     prev = "in"
     for layer in blocks[first_block:]:

@@ -17,7 +17,7 @@ of the requested width.  This matches the released model family.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Union
+from typing import Callable, Iterator, NamedTuple, Union
 
 import numpy as np
 
@@ -287,43 +287,64 @@ def make_bottleneck(
     )
 
 
+class LayerRecord(NamedTuple):
+    """One layer as shapes and widths only; no parameter arrays."""
+
+    name: str
+    kind: str  # "conv", "block" or "pool"
+    in_shape: tuple[int, int, int]
+    out_shape: tuple[int, int, int]
+    kernel: int
+    stride: int
+    in_channels: int
+    out_channels: int
+    expansion: float
+    inner: int  # expanded width of a block, else out_channels
+    expand: bool  # a block has a 1x1 expansion conv
+    activation: str  # "relu6" or "none"; blocks end linear
+
+
+def layer_walk(spec: ModelSpec) -> Iterator[LayerRecord]:
+    """The layer sequence of ``spec`` in execution order, without weights."""
+    res, cur = spec.resolution, 3
+
+    def layer(name, kind, kernel, stride, cout, expansion=1, activation="relu6"):
+        nonlocal res, cur
+        inner = expanded_width(cur, expansion) if kind == "block" else cout
+        expand = kind == "block" and not (spec.fuse_single_expansion and inner == cur)
+        out = -(-res // stride)
+        record = LayerRecord(name, kind, (res, res, cur), (out, out, cout), kernel,
+                             stride, cur, cout, expansion, inner, expand, activation)
+        res, cur = out, cout
+        return record
+
+    yield layer("stem", "conv", 3, 2, spec.scaled_stem_channels)
+    index = 0
+    for stage in spec.stages:
+        cout = scale_channels(stage.channels, spec.width_multiplier)
+        for rep in range(stage.repeats):
+            index += 1
+            stride = stage.stride if rep == 0 else 1
+            yield layer(f"block{index:02d}", "block", 3, stride, cout, stage.expansion, "none")
+    head = spec.scaled_head_channels
+    yield layer("head", "conv", 1, 1, head)
+    # Global average pooling: one window over the whole map.
+    yield layer("avgpool", "pool", res, res, head, activation="none")
+    yield layer("classifier", "conv", 1, 1, spec.classes, activation="none")
+
+
 def build_model(spec: ModelSpec) -> Model:
     """Materialize the layer sequence (zero weights) for ``spec``."""
     model = Model(spec=spec)
-    res = spec.resolution
-    alpha = spec.width_multiplier
-
-    def out_res(size: int, stride: int) -> int:
-        return -(-size // stride)
-
-    cur = spec.scaled_stem_channels
-    res = out_res(res, 2)
-    model.layers.append(
-        ConvLayer("stem", _zero_conv(3, 2, 3, cur), "relu6", (res, res, cur))
-    )
-
-    index = 0
-    for stage in spec.stages:
-        cout = scale_channels(stage.channels, alpha)
-        for rep in range(stage.repeats):
-            stride = stage.stride if rep == 0 else 1
-            index += 1
-            res = out_res(res, stride)
-            params = make_bottleneck(
-                cur, cout, stage.expansion, stride, spec.fuse_single_expansion
-            )
-            model.layers.append(
-                BottleneckLayer(f"block{index:02d}", params, (res, res, cout))
-            )
-            cur = cout
-
-    head = spec.scaled_head_channels
-    model.layers.append(
-        ConvLayer("head", _zero_conv(1, 1, cur, head), "relu6", (res, res, head))
-    )
-    model.layers.append(PoolLayer("avgpool", (1, 1, head)))
-    model.layers.append(
-        ConvLayer("classifier", _zero_conv(1, 1, head, spec.classes), "none",
-                  (1, 1, spec.classes))
-    )
+    for r in layer_walk(spec):
+        if r.kind == "conv":
+            params = _zero_conv(r.kernel, r.stride, r.in_channels, r.out_channels)
+            model.layers.append(ConvLayer(r.name, params, r.activation, r.out_shape))
+        elif r.kind == "block":
+            # The walk decides whether the expansion conv exists.
+            params = make_bottleneck(r.in_channels, r.out_channels, r.expansion,
+                                     r.stride, fuse_single_expansion=not r.expand)
+            model.layers.append(BottleneckLayer(r.name, params, r.out_shape))
+        else:
+            model.layers.append(PoolLayer(r.name, r.out_shape))
     return model

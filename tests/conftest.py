@@ -195,6 +195,136 @@ def exhaustive_schedules(g: ComputeGraph):
     yield from rec()
 
 
+class _SeedSearchState:
+    """The original dict-and-undo liveness state of the schedule searches."""
+
+    def __init__(self, g: ComputeGraph):
+        self.g = g
+        self.refcount = {t: len(g.consumers[t]) for t in g.tensors}
+        self.live = {t: g.tensors[t].nbytes for t in g.sources() if self.refcount[t] > 0}
+        self.live_bytes = sum(self.live.values())
+        self.remaining_preds = [len(p) for p in g.preds]
+        self.succs: list[list[int]] = [[] for _ in g.ops]
+        for i, preds in enumerate(g.preds):
+            for p in preds:
+                self.succs[p].append(i)
+
+    def step_cost(self, i: int) -> int:
+        op = self.g.ops[i]
+        fresh = sum(self.g.tensors[t].nbytes for t in op.outputs)
+        return self.live_bytes + fresh + op.workspace
+
+    def execute(self, i: int):
+        op = self.g.ops[i]
+        freed: list[tuple[str, int]] = []
+        added: list[str] = []
+        for t in op.outputs:
+            self.live[t] = self.g.tensors[t].nbytes
+            self.live_bytes += self.g.tensors[t].nbytes
+            added.append(t)
+        for t in op.inputs:
+            self.refcount[t] -= 1
+        for t in list(op.inputs) + list(op.outputs):
+            if self.refcount[t] == 0 and t in self.live:
+                freed.append((t, self.live.pop(t)))
+                self.live_bytes -= freed[-1][1]
+        for j in self.succs[i]:
+            self.remaining_preds[j] -= 1
+        return (op, freed, added)
+
+    def undo(self, i: int, record) -> None:
+        op, freed, added = record
+        for j in self.succs[i]:
+            self.remaining_preds[j] += 1
+        for t, nbytes in freed:
+            self.live[t] = nbytes
+            self.live_bytes += nbytes
+        for t in op.inputs:
+            self.refcount[t] += 1
+        for t in added:
+            if t in self.live:
+                self.live_bytes -= self.live[t]
+                del self.live[t]
+
+
+def seed_min_memory_schedule(g: ComputeGraph) -> tuple[tuple[str, ...], int, bool]:
+    """The original branch-and-bound, kept as the reference the integer
+    search must reproduce: (order, peak, optimal)."""
+    n = len(g.ops)
+    if n == 0:
+        return (), 0, True
+    state = _SeedSearchState(g)
+    best_peak = None
+    best_order = None
+    order: list[int] = []
+    memo: dict[int, int] = {}
+
+    def dfs(mask: int, running_peak: int) -> None:
+        nonlocal best_peak, best_order
+        if best_peak is not None and running_peak >= best_peak:
+            return
+        seen = memo.get(mask)
+        if seen is not None and seen <= running_peak:
+            return
+        memo[mask] = running_peak
+        if len(order) == n:
+            if best_peak is None or running_peak < best_peak:
+                best_peak = running_peak
+                best_order = list(order)
+            return
+        for i in range(n):
+            if mask & (1 << i) or state.remaining_preds[i] != 0:
+                continue
+            new_peak = max(running_peak, state.step_cost(i))
+            if best_peak is not None and new_peak >= best_peak:
+                continue
+            record = state.execute(i)
+            order.append(i)
+            dfs(mask | (1 << i), new_peak)
+            order.pop()
+            state.undo(i, record)
+
+    dfs(0, 0)
+    return tuple(g.ops[i].name for i in best_order), best_peak, True
+
+
+def seed_greedy_memory_schedule(g: ComputeGraph) -> tuple[tuple[str, ...], int, bool]:
+    """The original cheapest-next-step order: (order, peak, optimal)."""
+    state = _SeedSearchState(g)
+    n = len(g.ops)
+    done = [False] * n
+    order: list[int] = []
+    peak = 0
+    for _ in range(n):
+        candidates = [i for i in range(n) if not done[i] and state.remaining_preds[i] == 0]
+        i = min(candidates, key=lambda i: (state.step_cost(i), i))
+        peak = max(peak, state.step_cost(i))
+        state.execute(i)
+        done[i] = True
+        order.append(i)
+    return tuple(g.ops[i].name for i in order), peak, False
+
+
+def seed_schedule_steps(g: ComputeGraph, order: tuple[str, ...]) -> list[tuple[str, int, int]]:
+    """The original per-step rescan of every tensor: (op, live, workspace)."""
+    pos = {name: k for k, name in enumerate(order)}
+    produced_at: dict[str, int] = {}
+    last_use: dict[str, int] = {}
+    for t in g.tensors:
+        prod = g.producer.get(t)
+        produced_at[t] = -1 if prod is None else pos[g.ops[prod].name]
+        uses = [pos[g.ops[c].name] for c in g.consumers[t]]
+        if prod is not None:
+            uses.append(produced_at[t])
+        last_use[t] = max(uses) if uses else -2
+    steps = []
+    for k, name in enumerate(order):
+        live = sum(g.tensors[t].nbytes for t in g.tensors
+                   if produced_at[t] <= k <= last_use[t])
+        steps.append((name, live, g.ops[g.op_index[name]].workspace))
+    return steps
+
+
 @pytest.fixture(scope="session")
 def repo_root():
     import pathlib

@@ -232,6 +232,35 @@ class TestTheoryCommands:
         code, _, _ = run_cli(["theory", "spiral", "--dims", "2,x"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("points", ["0", "1"])
+    def test_spiral_points_below_two_exit_2(self, capsys, points):
+        # 0 points used to print NaN rows, 1 point a silent zero error.
+        code, out, err = run_cli(
+            ["theory", "spiral", "--dims", "2", "--points", points,
+             "--format", "json"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "--points" in err
+
+    def test_spiral_duplicate_dims_exit_2(self, capsys):
+        # Duplicates used to collapse into one JSON key.
+        code, out, err = run_cli(
+            ["theory", "spiral", "--dims", "2,2", "--format", "json"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "--dims" in err
+
+    def test_non_finite_json_is_internal_error(self, capsys, monkeypatch):
+        from bottlenet import theory
+
+        monkeypatch.setattr(theory, "spiral_experiment",
+                            lambda dims, seed, points: {n: float("nan") for n in dims})
+        code, out, err = run_cli(
+            ["theory", "spiral", "--dims", "2", "--format", "json"], capsys)
+        assert code == 4
+        assert out == ""
+        assert err.startswith("internal error:") and "Traceback" not in err
+
     def test_spiral_csv_headers_carry_seed(self, capsys):
         code, out, _ = run_cli(
             ["theory", "spiral", "--dims", "2,3", "--seed", "4",

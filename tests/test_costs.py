@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from bottlenet.blocks import bottleneck_madds
@@ -126,6 +128,22 @@ class TestInstrumented:
         model = build_model(spec).randomize(Rng(3))
         x = random_gaussian((1, 96, 96, 3), Rng(4))
         assert instrumented_count(model, x) == model_cost(spec).total_madds
+
+    def test_tables_allocate_no_weights(self):
+        # Building the width-1.4 model zero-fills about 24 MB of weights;
+        # the tables read shapes from the layer walk and allocate none.
+        from bottlenet.memplan import block_graph, memory_table
+
+        spec = ModelSpec(224, 1.4)
+        for table in (model_cost, memory_table, block_graph):
+            table(spec)
+            tracemalloc.start()
+            try:
+                table(spec)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20, (table.__name__, peak)
 
     def test_cost_of_model_agrees_with_spec_route(self):
         spec = ModelSpec(resolution=128, width_multiplier=0.75, classes=42)

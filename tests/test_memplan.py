@@ -25,7 +25,12 @@ from bottlenet.memplan import (
 from bottlenet.model import ModelSpec, build_model, make_bottleneck
 from bottlenet.tensor import Rng, max_abs_rel_diff, random_gaussian
 
-from conftest import exhaustive_schedules
+from conftest import (
+    exhaustive_schedules,
+    seed_greedy_memory_schedule,
+    seed_min_memory_schedule,
+    seed_schedule_steps,
+)
 
 
 def chain_graph():
@@ -156,6 +161,104 @@ def test_branch_and_bound_equals_exhaustive(g):
     _, peak = min_memory_schedule(g)
     brute = min(schedule_memory(g, o).peak_bytes for o in exhaustive_schedules(g))
     assert peak == brute
+
+
+def solved(search, g):
+    sched, peak = search(g)
+    return sched.order, peak, sched.optimal
+
+
+@st.composite
+def general_dags(draw, max_ops=12):
+    """Up to three sources (possibly unused), then ops reading zero to three
+    earlier tensors and writing zero to two new ones, so unconsumed
+    outputs, workspace-only ops and multi-output ops all occur; small
+    sizes make equal-peak ties common."""
+    tensors = [TensorNode(f"s{k}", draw(st.integers(0, 64)))
+               for k in range(draw(st.integers(0, 3)))]
+    ops = []
+    for i in range(draw(st.integers(0, max_ops))):
+        names = [t.name for t in tensors]
+        ins = draw(st.lists(st.sampled_from(names), max_size=3, unique=True)) if names else []
+        outs = [TensorNode(f"t{i}_{k}", draw(st.integers(0, 64)))
+                for k in range(draw(st.integers(0, 2)))]
+        tensors += outs
+        ops.append(OpNode(f"op{i}", tuple(ins), tuple(t.name for t in outs),
+                          workspace=draw(st.sampled_from((0, 0, 8, 40)))))
+    return ComputeGraph(tensors, ops)
+
+
+def feature_graph():
+    # Unused source "u", multi-output "split", workspace-only "probe",
+    # unconsumed outputs "aux" and "out".
+    return ComputeGraph(
+        [TensorNode("s", 40), TensorNode("u", 25), TensorNode("a", 30),
+         TensorNode("b", 10), TensorNode("c", 20), TensorNode("d", 15),
+         TensorNode("aux", 5), TensorNode("out", 20)],
+        [OpNode("split", ("s",), ("a", "b")),
+         OpNode("probe", ("a",), (), workspace=50),
+         OpNode("left", ("a",), ("c",)),
+         OpNode("right", ("b",), ("d", "aux")),
+         OpNode("join", ("c", "d"), ("out",))],
+    )
+
+
+def ladder_graph(n_ops):
+    # Op i reads the outputs of ops i-3 and i-2 (the source for the first
+    # ones), so neighbouring ops may run in either order: a narrow DAG
+    # of any length with many feasible orders.
+    names = ["src"] + [f"o{i}" for i in range(n_ops)]
+    return ComputeGraph(
+        [TensorNode("src", 7)] + [TensorNode(f"o{i}", 3 + i % 4) for i in range(n_ops)],
+        [OpNode(f"op{i}", tuple(names[max(0, i - 2):max(1, i)]), (f"o{i}",),
+                workspace=i % 3) for i in range(n_ops)],
+    )
+
+
+class TestSeedSearchEquivalence:
+    """The integer searches return exactly what the original dict-based
+    branch-and-bound and greedy (kept in conftest) return."""
+
+    @pytest.mark.parametrize("g", [
+        ComputeGraph([], []),
+        ComputeGraph([TensorNode("unused", 9)], []),
+        feature_graph(),
+        ladder_graph(16),
+    ], ids=["empty", "source-only", "features", "ladder16"])
+    def test_fixtures(self, g):
+        assert solved(min_memory_schedule, g) == seed_min_memory_schedule(g)
+        assert solved(greedy_memory_schedule, g) == seed_greedy_memory_schedule(g)
+
+    def test_limit_still_16_ops(self):
+        g = ladder_graph(17)
+        with pytest.raises(GraphTooLargeError):
+            min_memory_schedule(g)
+        assert solved(greedy_memory_schedule, g) == seed_greedy_memory_schedule(g)
+
+    @settings(max_examples=300, deadline=None)
+    @given(g=general_dags())
+    def test_random_dags_match_seed(self, g):
+        assert solved(min_memory_schedule, g) == seed_min_memory_schedule(g)
+        assert solved(greedy_memory_schedule, g) == seed_greedy_memory_schedule(g)
+
+    @settings(max_examples=100, deadline=None)
+    @given(g=general_dags(max_ops=7))
+    def test_small_dags_match_exhaustive(self, g):
+        order, peak, _ = solved(min_memory_schedule, g)
+        brute = min(schedule_memory(g, o).peak_bytes for o in exhaustive_schedules(g))
+        assert peak == brute == schedule_memory(g, order).peak_bytes
+        order, greedy_peak, _ = solved(greedy_memory_schedule, g)
+        assert greedy_peak == schedule_memory(g, order).peak_bytes >= peak
+
+    @settings(max_examples=150, deadline=None)
+    @given(g=general_dags())
+    def test_schedule_memory_matches_seed_rescan(self, g):
+        for search in (min_memory_schedule, greedy_memory_schedule):
+            order = search(g)[0].order
+            report = schedule_memory(g, order)
+            steps = seed_schedule_steps(g, order)
+            assert [(s.op, s.live_bytes, s.workspace) for s in report.steps] == steps
+            assert report.peak_bytes == max((live + ws for _, live, ws in steps), default=0)
 
 
 class TestLinearBound:

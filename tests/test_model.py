@@ -5,8 +5,12 @@ from hypothesis import strategies as st
 
 from bottlenet.errors import InvalidShapeError, ShapeMismatchError
 from bottlenet.model import (
+    BottleneckLayer,
+    ConvLayer,
     ModelSpec,
+    PoolLayer,
     build_model,
+    layer_walk,
     scale_channels,
 )
 from bottlenet.tensor import Rng, new_tensor, random_gaussian
@@ -139,3 +143,59 @@ class TestForward:
         b = build_model(spec).randomize(Rng(7))
         x = random_gaussian((1, 96, 96, 3), Rng(8))
         assert np.array_equal(a.forward(x), b.forward(x))
+
+
+WALK_ALPHAS = (0.35, 0.5, 0.75, 1.0, 1.3, 1.4)
+WALK_RESOLUTIONS = (96, 128, 160, 192, 224)
+
+
+def schema_from_walk(walk):
+    """Parameter names and shapes the records imply, in schema order."""
+    schema = []
+    for r in walk:
+        if r.kind == "conv":
+            schema.append((f"{r.name}.weight", (r.kernel, r.kernel, r.in_channels, r.out_channels)))
+            schema.append((f"{r.name}.bias", (r.out_channels,)))
+        elif r.kind == "block":
+            if r.expand:
+                schema.append((f"{r.name}.expand.weight", (1, 1, r.in_channels, r.inner)))
+                schema.append((f"{r.name}.expand.bias", (r.inner,)))
+            schema.append((f"{r.name}.depthwise.weight", (r.kernel, r.kernel, r.inner)))
+            schema.append((f"{r.name}.depthwise.bias", (r.inner,)))
+            schema.append((f"{r.name}.project.weight", (1, 1, r.inner, r.out_channels)))
+            schema.append((f"{r.name}.project.bias", (r.out_channels,)))
+    return schema
+
+
+class TestLayerWalk:
+    @pytest.mark.parametrize("alpha", WALK_ALPHAS)
+    @pytest.mark.parametrize("res", WALK_RESOLUTIONS)
+    def test_build_model_materializes_the_walk(self, alpha, res):
+        spec = ModelSpec(resolution=res, width_multiplier=alpha)
+        walk = list(layer_walk(spec))
+        model = build_model(spec)
+        assert [l.name for l in model.layers] == [r.name for r in walk]
+        assert [l.out_shape for l in model.layers] == [r.out_shape for r in walk]
+        assert model.parameter_schema() == schema_from_walk(walk)
+        assert walk[0].in_shape == (res, res, 3)
+        assert all(a.out_shape == b.in_shape for a, b in zip(walk, walk[1:]))
+        kinds = {ConvLayer: "conv", BottleneckLayer: "block", PoolLayer: "pool"}
+        for layer, r in zip(model.layers, walk):
+            assert kinds[type(layer)] == r.kind
+            if r.kind == "conv":
+                p = layer.params
+                assert (p.kernel, p.stride, p.in_channels, p.out_channels) == (
+                    r.kernel, r.stride, r.in_channels, r.out_channels)
+                assert layer.activation == r.activation
+            elif r.kind == "block":
+                p = layer.params
+                assert (p.stride, p.in_channels, p.out_channels, p.expansion) == (
+                    r.stride, r.in_channels, r.out_channels, r.expansion)
+                assert p.expanded_channels == r.inner
+                assert (p.expand is not None) == r.expand
+
+    def test_unfused_spec_keeps_every_expansion(self):
+        spec = ModelSpec(resolution=96, width_multiplier=0.35, fuse_single_expansion=False)
+        blocks = [r for r in layer_walk(spec) if r.kind == "block"]
+        assert all(r.expand for r in blocks)
+        assert build_model(spec).parameter_schema() == schema_from_walk(layer_walk(spec))
