@@ -6,10 +6,10 @@ tensor file), ``memory-plan`` (per-resolution materialization table) and
 is deterministic given its full flag set; all randomness comes from
 explicit seeds.
 
-Exit codes: 0 success, 2 usage error, 3 data/format error, 4 internal
-invariant violation.  ``BTN_THREADS`` caps BLAS worker threads; it must
-be read before numpy loads, which is why the heavy imports live inside
-the command handlers.
+Exit codes: 0 success, 2 usage error, 3 data/format or file-system
+error, 4 internal invariant violation.  ``BTN_THREADS`` caps BLAS worker
+threads; it must be read before numpy loads, which is why the heavy
+imports live inside the command handlers.
 """
 
 from __future__ import annotations
@@ -38,14 +38,17 @@ def _usage(msg: str):
     return UsageError(msg)
 
 
-def _check_model_flags(alpha: float, res: int, classes: int) -> None:
+def _model_spec(args):
+    """The ``ModelSpec`` of the --alpha/--res/--classes flags, once they pass."""
     from .model import (
         MAX_RESOLUTION,
         MAX_WIDTH_MULTIPLIER,
         MIN_RESOLUTION,
         MIN_WIDTH_MULTIPLIER,
+        ModelSpec,
     )
 
+    alpha, res, classes = args.alpha, args.res, args.classes
     if not MIN_WIDTH_MULTIPLIER <= alpha <= MAX_WIDTH_MULTIPLIER:
         raise _usage(
             f"--alpha must be in [{MIN_WIDTH_MULTIPLIER}, {MAX_WIDTH_MULTIPLIER}], "
@@ -58,6 +61,7 @@ def _check_model_flags(alpha: float, res: int, classes: int) -> None:
         )
     if classes < 1:
         raise _usage(f"--classes must be >= 1, got {classes}")
+    return ModelSpec(resolution=res, width_multiplier=alpha, classes=classes)
 
 
 def _seed(text: str) -> int:
@@ -71,137 +75,65 @@ def _seed(text: str) -> int:
     return value
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text)
-    if not text.endswith("\n"):
-        sys.stdout.write("\n")
+def _render(fmt: str, payload: dict, header: list[str], rows: list[list[str]],
+            comments=()) -> int:
+    """Write a command's result to stdout and return exit code 0.
 
-
-def _csv_lines(header: list[str], rows: list[list[str]], comments: list[str] = ()) -> str:
-    lines = [f"# {c}" for c in comments]
-    lines.append(",".join(header))
-    lines.extend(",".join(row) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
-def _table_lines(header: list[str], rows: list[list[str]]) -> str:
-    widths = [
-        max(len(header[i]), *(len(r[i]) for r in rows)) if rows else len(header[i])
-        for i in range(len(header))
-    ]
-    fmt = "  ".join(f"{{:>{w}}}" for w in widths)
-    lines = [fmt.format(*header)]
-    lines.append("  ".join("-" * w for w in widths))
-    lines.extend(fmt.format(*r) for r in rows)
-    return "\n".join(lines) + "\n"
-
-
-def _json_dump(obj) -> str:
+    ``json`` prints ``payload``; ``csv`` prints ``# comment`` lines, then
+    ``header`` and ``rows`` comma-separated; ``table`` right-aligns
+    ``header`` and ``rows`` in columns under a dashed rule.
+    """
     from .errors import InternalError
 
-    try:
-        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    except ValueError as exc:  # NaN or infinity: not JSON
-        raise InternalError(f"non-finite value in JSON output: {exc}") from None
+    if fmt == "json":
+        try:
+            lines = [json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)]
+        except ValueError as exc:  # NaN or infinity: not JSON
+            raise InternalError(f"non-finite value in JSON output: {exc}") from None
+    elif fmt == "csv":
+        lines = [f"# {c}" for c in comments]
+        lines.extend(",".join(row) for row in [header, *rows])
+    else:
+        widths = [max(len(cell) for cell in column) for column in zip(header, *rows)]
+        rule = ["-" * w for w in widths]
+        lines = ["  ".join(cell.rjust(w) for cell, w in zip(row, widths))
+                 for row in [header, rule, *rows]]
+    sys.stdout.write("\n".join(lines) + "\n")
+    return 0
 
 
 def cmd_summarize(args) -> int:
     from .costs import model_cost
-    from .model import ModelSpec
 
-    _check_model_flags(args.alpha, args.res, args.classes)
-    report = model_cost(ModelSpec(resolution=args.res, width_multiplier=args.alpha,
-                                  classes=args.classes))
-    if args.format == "json":
-        payload = {
-            "command": "summarize",
-            "alpha": args.alpha,
-            "resolution": args.res,
-            "classes": args.classes,
-            "layers": [
-                {
-                    "name": r.name,
-                    "out_h": r.out_shape[0],
-                    "out_w": r.out_shape[1],
-                    "out_c": r.out_shape[2],
-                    "madds": r.madds,
-                    "params": r.params,
-                    "bias_params": r.bias_params,
-                }
-                for r in report.rows
-            ],
-            "totals": {
-                "madds": report.total_madds,
-                "params": report.total_params,
-                "bias_params": report.total_bias_params,
-            },
-        }
-        _emit(_json_dump(payload))
-        return 0
+    report = model_cost(_model_spec(args))
     header = ["name", "out_h", "out_w", "out_c", "madds", "params", "bias_params"]
-    rows = [
-        [r.name, str(r.out_shape[0]), str(r.out_shape[1]), str(r.out_shape[2]),
-         str(r.madds), str(r.params), str(r.bias_params)]
-        for r in report.rows
-    ]
-    rows.append(["total", "", "", "", str(report.total_madds),
-                 str(report.total_params), str(report.total_bias_params)])
-    if args.format == "csv":
-        _emit(_csv_lines(header, rows))
-    else:
-        _emit(_table_lines(header, rows))
-    return 0
+    layers = [[r.name, *r.out_shape, r.madds, r.params, r.bias_params]
+              for r in report.rows]
+    totals = [report.total_madds, report.total_params, report.total_bias_params]
+    payload = {
+        "command": "summarize",
+        "alpha": args.alpha,
+        "resolution": args.res,
+        "classes": args.classes,
+        "layers": [dict(zip(header, layer)) for layer in layers],
+        "totals": dict(zip(header[4:], totals)),
+    }
+    rows = [[str(v) for v in row] for row in [*layers, ["total", "", "", "", *totals]]]
+    return _render(args.format, payload, header, rows)
 
 
 def cmd_memory_plan(args) -> int:
     from .memplan import CascadePlan, block_graph, cascade_peak_bytes, memory_table
-    from .model import ModelSpec, build_model
+    from .model import layer_walk
 
-    _check_model_flags(args.alpha, args.res, args.classes)
-    if args.act_bits not in (16, 32):
-        raise _usage(f"--act-bits must be 16 or 32, got {args.act_bits}")
+    spec = _model_spec(args)
     if args.split is not None and args.split < 1:
         raise _usage(f"--split must be >= 1, got {args.split}")
     bpa = args.act_bits // 8
-    spec = ModelSpec(resolution=args.res, width_multiplier=args.alpha,
-                     classes=args.classes)
     report = memory_table(spec, bytes_per_activation=bpa)
     if args.dump_graph is not None:
         with open(args.dump_graph, "w") as fp:
             block_graph(spec, bytes_per_activation=bpa).dump_jsonl(fp)
-    first_block = None
-    if args.split is not None:
-        block = build_model(spec).bottleneck_layers()[0]
-        p = block.params
-        h = -(-spec.resolution // 2)  # stem output resolution
-        split = min(args.split, p.expanded_channels)
-        plan = CascadePlan.from_split(p.expanded_channels, split)
-        first_block = {
-            "split": split,
-            "peak_bytes": cascade_peak_bytes(p, h, h, plan, bytes_per_activation=bpa),
-        }
-    if args.format == "json":
-        payload = {
-            "command": "memory-plan",
-            "alpha": args.alpha,
-            "resolution": args.res,
-            "act_bits": args.act_bits,
-            "rows": [
-                {
-                    "resolution": r.resolution,
-                    "channels": r.channels,
-                    "bytes": r.nbytes,
-                    "kilobytes": round(r.kilobytes, 3),
-                    "streamed": r.streamed,
-                }
-                for r in report.rows
-            ],
-            "peak_bytes": report.peak_bytes,
-            "peak_kilobytes": round(report.peak_kilobytes, 3),
-            "first_block_cascade": first_block,
-        }
-        _emit(_json_dump(payload))
-        return 0
     header = ["resolution", "channels", "kilobytes", "streamed"]
     rows = [
         [str(r.resolution), str(r.channels), f"{r.kilobytes:.3f}",
@@ -209,23 +141,45 @@ def cmd_memory_plan(args) -> int:
         for r in report.rows
     ]
     rows.append(["max", "", f"{report.peak_kilobytes:.3f}", ""])
-    if first_block is not None:
-        rows.append([f"first-block split={first_block['split']}", "",
+    first_block = None
+    if args.split is not None:
+        block = next(r for r in layer_walk(spec) if r.kind == "block")
+        h = block.in_shape[0]
+        split = min(args.split, block.inner)
+        plan = CascadePlan.from_split(block.inner, split)
+        first_block = {
+            "split": split,
+            "peak_bytes": cascade_peak_bytes(block, h, h, plan, bytes_per_activation=bpa),
+        }
+        rows.append([f"first-block split={split}", "",
                      f"{first_block['peak_bytes'] / 1000.0:.3f}", ""])
-    if args.format == "csv":
-        _emit(_csv_lines(header, rows))
-    else:
-        _emit(_table_lines(header, rows))
-    return 0
+    payload = {
+        "command": "memory-plan",
+        "alpha": args.alpha,
+        "resolution": args.res,
+        "act_bits": args.act_bits,
+        "rows": [
+            {
+                "resolution": r.resolution,
+                "channels": r.channels,
+                "bytes": r.nbytes,
+                "kilobytes": round(r.kilobytes, 3),
+                "streamed": r.streamed,
+            }
+            for r in report.rows
+        ],
+        "peak_bytes": report.peak_bytes,
+        "peak_kilobytes": round(report.peak_kilobytes, 3),
+        "first_block_cascade": first_block,
+    }
+    return _render(args.format, payload, header, rows)
 
 
-def _load_or_random_model(args):
-    from .model import ModelSpec, build_model
+def _load_or_random_model(spec, args):
+    from .model import build_model
     from .tensor import Rng
     from .weights import load_weights
 
-    spec = ModelSpec(resolution=args.res, width_multiplier=args.alpha,
-                     classes=args.classes)
     model = build_model(spec)
     if args.weights is not None:
         load_weights(model, args.weights)
@@ -240,7 +194,7 @@ def cmd_infer(args) -> int:
     from .memplan import CascadePlan, cascade_execute
     from .tensor import Rng, load_tensor, random_gaussian, save_tensor
 
-    _check_model_flags(args.alpha, args.res, args.classes)
+    spec = _model_spec(args)
     if args.weights is None and not args.random_weights:
         raise _usage("provide --weights PATH or --random-weights")
     if args.input is None and not args.random_input:
@@ -249,7 +203,7 @@ def cmd_infer(args) -> int:
         raise _usage(f"--split must be >= 1, got {args.split}")
     if os.path.isdir(args.out):
         raise _usage(f"--out must name a file, {args.out!r} is a directory")
-    model = _load_or_random_model(args)
+    model = _load_or_random_model(spec, args)
     if args.input is not None:
         x = load_tensor(args.input)
         if x.shape[1:] != model.input_shape:
@@ -268,21 +222,18 @@ def cmd_infer(args) -> int:
     save_tensor(args.out, logits)
     flat = logits[0].reshape(-1)
     top5 = [int(i) for i in np.argsort(-flat, kind="stable")[:5]]
-    if args.format == "json":
-        payload = {
-            "command": "infer",
-            "logits": str(args.out),
-            "top5": top5,
-            "top5_values": [float(f"{flat[i]:.6g}") for i in top5],
-        }
-        _emit(_json_dump(payload))
-    elif args.format == "csv":
-        _emit(_csv_lines(["rank", "class", "logit"],
-                         [[str(k), str(i), f"{flat[i]:.6g}"]
-                          for k, i in enumerate(top5)]))
-    else:
-        _emit("top5: " + " ".join(str(i) for i in top5))
-    return 0
+    if args.format == "table":
+        sys.stdout.write("top5: " + " ".join(str(i) for i in top5) + "\n")
+        return 0
+    values = [f"{flat[i]:.6g}" for i in top5]
+    payload = {
+        "command": "infer",
+        "logits": str(args.out),
+        "top5": top5,
+        "top5_values": [float(v) for v in values],
+    }
+    rows = [[str(k), str(i), v] for k, (i, v) in enumerate(zip(top5, values))]
+    return _render(args.format, payload, ["rank", "class", "logit"], rows)
 
 
 def cmd_theory_collapse(args) -> int:
@@ -294,27 +245,20 @@ def cmd_theory_collapse(args) -> int:
         raise _usage(f"--trials must be >= 1, got {args.trials}")
     exact = relu_preserved_fraction(args.n, args.m)
     mc = relu_preserved_fraction_mc(args.n, args.m, args.trials, args.seed)
-    if args.format == "json":
-        _emit(_json_dump({
-            "command": "theory-collapse",
-            "n": args.n,
-            "m": args.m,
-            "trials": args.trials,
-            "seed": args.seed,
-            "preserved_mc": mc,
-            "preserved_exact": exact,
-            "collapsed_mc": 1.0 - mc,
-            "collapsed_exact": 1.0 - exact,
-        }))
-        return 0
+    payload = {
+        "command": "theory-collapse",
+        "n": args.n,
+        "m": args.m,
+        "trials": args.trials,
+        "seed": args.seed,
+        "preserved_mc": mc,
+        "preserved_exact": exact,
+        "collapsed_mc": 1.0 - mc,
+        "collapsed_exact": 1.0 - exact,
+    }
     header = ["n", "m", "trials", "preserved_mc", "preserved_exact"]
-    rows = [[str(args.n), str(args.m), str(args.trials),
-             f"{mc:.6f}", f"{exact:.6f}"]]
-    if args.format == "csv":
-        _emit(_csv_lines(header, rows, comments=[f"seed={args.seed}"]))
-    else:
-        _emit(_table_lines(header, rows))
-    return 0
+    rows = [[str(args.n), str(args.m), str(args.trials), f"{mc:.6f}", f"{exact:.6f}"]]
+    return _render(args.format, payload, header, rows, [f"seed={args.seed}"])
 
 
 def cmd_theory_spiral(args) -> int:
@@ -331,61 +275,52 @@ def cmd_theory_spiral(args) -> int:
     if args.points < 2:
         raise _usage(f"--points must be >= 2, got {args.points}")
     errors = spiral_experiment(dims, args.seed, points=args.points)
-    if args.format == "json":
-        _emit(_json_dump({
-            "command": "theory-spiral",
-            "seed": args.seed,
-            "points": args.points,
-            "dims": dims,
-            "errors": {str(n): errors[n] for n in dims},
-        }))
-        return 0
-    header = ["n", "mse"]
+    payload = {
+        "command": "theory-spiral",
+        "seed": args.seed,
+        "points": args.points,
+        "dims": dims,
+        "errors": {str(n): errors[n] for n in dims},
+    }
     rows = [[str(n), f"{errors[n]:.6e}"] for n in dims]
-    if args.format == "csv":
-        _emit(_csv_lines(header, rows,
-                         comments=[f"seed={args.seed}", f"points={args.points}"]))
-    else:
-        _emit(_table_lines(header, rows))
-    return 0
+    return _render(args.format, payload, ["n", "mse"], rows,
+                   [f"seed={args.seed}", f"points={args.points}"])
 
 
 def cmd_theory_activations(args) -> int:
     from .tensor import Rng, random_gaussian
     from .theory import activation_pattern_stats
 
-    _check_model_flags(args.alpha, args.res, args.classes)
+    spec = _model_spec(args)
     if args.batch < 1:
         raise _usage(f"--batch must be >= 1, got {args.batch}")
-    model = _load_or_random_model(args)
+    model = _load_or_random_model(spec, args)
     batch = random_gaussian((args.batch, args.res, args.res, 3),
                             Rng(args.input_seed))
     stats = activation_pattern_stats(model, batch, per_location=not args.per_map)
-    if args.format == "json":
-        _emit(_json_dump({
-            "command": "theory-activations",
-            "alpha": args.alpha,
-            "resolution": args.res,
-            "seed": args.seed,
-            "input_seed": args.input_seed,
-            "batch": args.batch,
-            "weights": args.weights,
-            "per_location": stats.per_location,
-            "layers": [
-                {
-                    "index": l.index,
-                    "name": l.name,
-                    "channels": l.channels,
-                    "threshold": l.threshold,
-                    "min_count": l.min_count,
-                    "mean_count": l.mean_count,
-                    "max_count": l.max_count,
-                    "mean_fraction": l.mean_fraction,
-                }
-                for l in stats.layers
-            ],
-        }))
-        return 0
+    payload = {
+        "command": "theory-activations",
+        "alpha": args.alpha,
+        "resolution": args.res,
+        "seed": args.seed,
+        "input_seed": args.input_seed,
+        "batch": args.batch,
+        "weights": args.weights,
+        "per_location": stats.per_location,
+        "layers": [
+            {
+                "index": l.index,
+                "name": l.name,
+                "channels": l.channels,
+                "threshold": l.threshold,
+                "min_count": l.min_count,
+                "mean_count": l.mean_count,
+                "max_count": l.max_count,
+                "mean_fraction": l.mean_fraction,
+            }
+            for l in stats.layers
+        ],
+    }
     header = ["index", "name", "channels", "threshold", "min", "mean", "max",
               "mean_fraction"]
     rows = [
@@ -394,12 +329,8 @@ def cmd_theory_activations(args) -> int:
          f"{l.mean_fraction:.4f}"]
         for l in stats.layers
     ]
-    if args.format == "csv":
-        _emit(_csv_lines(header, rows,
-                         comments=[f"seed={args.seed}", f"input_seed={args.input_seed}"]))
-    else:
-        _emit(_table_lines(header, rows))
-    return 0
+    return _render(args.format, payload, header, rows,
+                   [f"seed={args.seed}", f"input_seed={args.input_seed}"])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -495,7 +426,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (TensorFormatError, WeightFormatError, FileNotFoundError) as exc:
+    except (TensorFormatError, WeightFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except InternalError as exc:

@@ -109,15 +109,6 @@ def model_cost(spec: ModelSpec) -> CostReport:
     return CostReport(spec.resolution, spec.width_multiplier, rows)
 
 
-def cost_of_model(model: Model) -> CostReport:
-    """Per-layer table for an already-built model.
-
-    ``build_model`` materializes its layers from ``layer_walk(model.spec)``,
-    so the table is costed from those same records.
-    """
-    return model_cost(model.spec)
-
-
 def instrumented_count(model: Model, x: np.ndarray) -> int:
     """Multiply-adds actually executed by a forward pass on ``x``.
 

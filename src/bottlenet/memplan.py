@@ -49,7 +49,7 @@ import numpy as np
 from .blocks import BottleneckParams
 from .errors import GraphError, GraphTooLargeError, InvalidShapeError
 from .kernels import Conv2dParams, DepthwiseParams, conv2d, depthwise_conv, relu6
-from .model import ModelSpec, layer_walk
+from .model import LayerRecord, ModelSpec, layer_walk
 from .tensor import assert_activation
 
 
@@ -422,7 +422,7 @@ class CascadePlan:
 
 
 def cascade_peak_bytes(
-    p: BottleneckParams,
+    p: BottleneckParams | LayerRecord,
     h: int,
     w: int,
     plan: CascadePlan,
@@ -430,7 +430,11 @@ def cascade_peak_bytes(
     batch: int = 1,
 ) -> int:
     """Working-set bound of the split execution: input + output + one
-    group-sized inner tensor at each resolution it passes through."""
+    group-sized inner tensor at each resolution it passes through.
+
+    ``p`` is a built block or its ``layer_walk`` record; only its
+    ``in_channels``, ``out_channels`` and ``stride`` are read.
+    """
     oh = -(-h // p.stride)
     ow = -(-w // p.stride)
     bpa = bytes_per_activation
@@ -493,19 +497,15 @@ def cascade_execute(
     return acc, peak
 
 
-def memory_table(
-    spec: ModelSpec,
-    bytes_per_activation: int = 2,
-    stream_first: bool = True,
-) -> MemoryReport:
+def memory_table(spec: ModelSpec, bytes_per_activation: int = 2) -> MemoryReport:
     """Max materialized channels/bytes per spatial resolution.
 
     Blocks count as single ops with disposable inner tensors; each block
     charges its output width at the resolution it consumes, and every
     resolution reports the widest such charge.  The pooled head feature
-    appears as the final 1x1 row.  With ``stream_first`` the
-    stem-adjacent resolution is executed channel-by-channel and reports a
-    single materialized channel, excluded from the overall peak.
+    appears as the final 1x1 row.  The stem-adjacent resolution is
+    executed channel-by-channel and reports a single materialized
+    channel, excluded from the overall peak.
     """
     if bytes_per_activation not in (2, 4):
         raise InvalidShapeError(
@@ -521,7 +521,7 @@ def memory_table(
             per_res[res] = max(per_res.get(res, 0), layer.out_channels)
     rows = []
     for res in sorted(per_res, reverse=True):
-        streamed = stream_first and res == first_block_res
+        streamed = res == first_block_res
         channels = 1 if streamed else per_res[res]
         rows.append(ResolutionRow(
             resolution=res,
@@ -539,9 +539,9 @@ def block_graph(
     spec: ModelSpec,
     bytes_per_activation: int = 2,
     first_block: int = 0,
-    include_head: bool = True,
 ) -> ComputeGraph:
-    """Block-granular compute graph (each block one op, shortcuts internal).
+    """Block-granular compute graph (each block one op, shortcuts internal),
+    followed by the head conv, the average pool and the classifier.
 
     ``first_block`` drops that many leading blocks, modelling the case
     where the high-resolution prefix is handled by streamed execution and
@@ -563,13 +563,12 @@ def block_graph(
         tensors.append(TensorNode(out_name, nbytes(layer.out_shape)))
         ops.append(OpNode(layer.name, (prev,), (out_name,)))
         prev = out_name
-    if include_head:
-        res = blocks[-1].out_shape[0]
-        head = spec.scaled_head_channels
-        tensors.append(TensorNode("head_out", res * res * head * bpa))
-        ops.append(OpNode("head", (prev,), ("head_out",)))
-        tensors.append(TensorNode("pooled", head * bpa))
-        ops.append(OpNode("avgpool", ("head_out",), ("pooled",)))
-        tensors.append(TensorNode("logits", spec.classes * bpa))
-        ops.append(OpNode("classifier", ("pooled",), ("logits",)))
+    res = blocks[-1].out_shape[0]
+    head = spec.scaled_head_channels
+    tensors.append(TensorNode("head_out", res * res * head * bpa))
+    ops.append(OpNode("head", (prev,), ("head_out",)))
+    tensors.append(TensorNode("pooled", head * bpa))
+    ops.append(OpNode("avgpool", ("head_out",), ("pooled",)))
+    tensors.append(TensorNode("logits", spec.classes * bpa))
+    ops.append(OpNode("classifier", ("pooled",), ("logits",)))
     return ComputeGraph(tensors, ops)

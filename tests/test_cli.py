@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import jsonschema
 import numpy as np
@@ -37,6 +38,41 @@ def run_subprocess(args, env_extra=None):
 def validate(payload, schema_name, repo_root):
     schema = json.loads((repo_root / "schemas" / schema_name).read_text())
     jsonschema.validate(payload, schema)
+
+
+# Each case runs in csv, json and table; tests/golden/<case>.<format> holds
+# "exit <code>" on its first line and the exact stdout after it.
+GOLDEN_CASES = {
+    "summarize-alpha1.0": ["summarize", "--alpha", "1.0", "--res", "224"],
+    "summarize-alpha1.4": ["summarize", "--alpha", "1.4", "--res", "224"],
+    "memory-plan-16": ["memory-plan", "--act-bits", "16"],
+    "memory-plan-16-split5": ["memory-plan", "--act-bits", "16", "--split", "5"],
+    "memory-plan-32-split8-alpha1.4": ["memory-plan", "--act-bits", "32",
+                                       "--split", "8", "--alpha", "1.4"],
+    "infer-split4": ["infer", "--alpha", "0.35", "--res", "96", "--classes", "10",
+                     "--random-weights", "--seed", "1", "--random-input",
+                     "--input-seed", "2", "--split", "4", "--out", "logits.bten"],
+    "theory-collapse": ["theory", "collapse", "--n", "2", "--m", "4",
+                        "--trials", "1000", "--seed", "3"],
+    "theory-spiral": ["theory", "spiral", "--dims", "2,3,15,30", "--seed", "9",
+                      "--points", "50"],
+    "theory-activations": ["theory", "activations", "--alpha", "0.35", "--res", "96",
+                           "--batch", "2"],
+}
+
+
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_golden_output(case, fmt, capsys, monkeypatch, tmp_path, repo_root):
+    # The goldens were captured before the renderer refactor and are never
+    # re-captured to make a change pass: any byte of difference is a bug.
+    golden = (repo_root / "tests" / "golden" / f"{case}.{fmt}").read_bytes()
+    monkeypatch.chdir(tmp_path)  # infer writes --out and prints its path
+    code, out, _ = run_cli([*GOLDEN_CASES[case], "--format", fmt], capsys)
+    assert f"exit {code}\n".encode() + out.encode() == golden
+    if fmt == "json":
+        payload = json.loads(out)
+        validate(payload, payload["command"].replace("-", "_") + ".schema.json", repo_root)
 
 
 class TestSummarize:
@@ -102,6 +138,22 @@ class TestMemoryPlan:
     def test_bad_act_bits(self, capsys):
         code, _, _ = run_cli(["memory-plan", "--act-bits", "24"], capsys)
         assert code == 2
+
+    def test_split_allocates_no_weights(self, capsys):
+        # The first block's widths come from the layer walk; building the
+        # width-1.4 model for them zero-filled about 24 MB of weights.
+        args = ["memory-plan", "--alpha", "1.4", "--res", "224", "--split", "8",
+                "--format", "json"]
+        assert run_cli(args, capsys)[0] == 0
+        tracemalloc.start()
+        try:
+            code = cli.main(args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert code == 0
+        assert peak < 1 << 20, peak
 
     def test_dump_graph_jsonl(self, capsys, tmp_path):
         from bottlenet.memplan import ComputeGraph, linear_bound_memory
@@ -281,6 +333,19 @@ class TestTheoryCommands:
 class TestHarness:
     def test_unknown_command_exit_2(self, capsys):
         assert cli.main(["not-a-command"]) == 2
+
+    @pytest.mark.parametrize("flag", ["--input", "--weights", "--dump-graph"])
+    def test_directory_as_file_exit_3(self, capsys, tmp_path, flag):
+        if flag == "--dump-graph":
+            args = ["memory-plan", flag, str(tmp_path)]
+        else:
+            source = "--random-weights" if flag == "--input" else "--random-input"
+            args = ["infer", *SMALL, source, flag, str(tmp_path),
+                    "--out", str(tmp_path / "l.bten")]
+        code, out, err = run_cli(args, capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_thread_env_honored(self):
         r = run_subprocess(["summarize", *SMALL, "--format", "csv"],

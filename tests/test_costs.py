@@ -4,7 +4,6 @@ import pytest
 
 from bottlenet.blocks import bottleneck_madds
 from bottlenet.costs import (
-    cost_of_model,
     instrumented_count,
     madds_depthwise,
     madds_depthwise_separable,
@@ -144,10 +143,3 @@ class TestInstrumented:
             finally:
                 tracemalloc.stop()
             assert peak < 1 << 20, (table.__name__, peak)
-
-    def test_cost_of_model_agrees_with_spec_route(self):
-        spec = ModelSpec(resolution=128, width_multiplier=0.75, classes=42)
-        a = model_cost(spec)
-        b = cost_of_model(build_model(spec))
-        assert a.total_madds == b.total_madds
-        assert a.total_params == b.total_params

@@ -137,32 +137,6 @@ class TestMinMemorySchedule:
         assert sched.order == ("first", "second")
 
 
-@st.composite
-def random_dags(draw):
-    n_ops = draw(st.integers(1, 5))
-    tensors = [TensorNode("src", draw(st.integers(1, 50)))]
-    ops = []
-    for i in range(n_ops):
-        available = [t.name for t in tensors]
-        k = draw(st.integers(1, min(2, len(available))))
-        picked = draw(
-            st.lists(st.sampled_from(available), min_size=k, max_size=k, unique=True)
-        )
-        out = TensorNode(f"t{i}", draw(st.integers(1, 50)))
-        tensors.append(out)
-        ops.append(OpNode(f"op{i}", tuple(picked), (out.name,),
-                          workspace=draw(st.integers(0, 30))))
-    return ComputeGraph(tensors, ops)
-
-
-@settings(max_examples=60, deadline=None)
-@given(g=random_dags())
-def test_branch_and_bound_equals_exhaustive(g):
-    _, peak = min_memory_schedule(g)
-    brute = min(schedule_memory(g, o).peak_bytes for o in exhaustive_schedules(g))
-    assert peak == brute
-
-
 def solved(search, g):
     sched, peak = search(g)
     return sched.order, peak, sched.optimal
@@ -173,7 +147,7 @@ def general_dags(draw, max_ops=12):
     """Up to three sources (possibly unused), then ops reading zero to three
     earlier tensors and writing zero to two new ones, so unconsumed
     outputs, workspace-only ops and multi-output ops all occur; small
-    sizes make equal-peak ties common."""
+    sizes and a frequent zero workspace make equal-peak ties common."""
     tensors = [TensorNode(f"s{k}", draw(st.integers(0, 64)))
                for k in range(draw(st.integers(0, 3)))]
     ops = []
@@ -184,7 +158,8 @@ def general_dags(draw, max_ops=12):
                 for k in range(draw(st.integers(0, 2)))]
         tensors += outs
         ops.append(OpNode(f"op{i}", tuple(ins), tuple(t.name for t in outs),
-                          workspace=draw(st.sampled_from((0, 0, 8, 40)))))
+                          workspace=draw(st.one_of(st.sampled_from((0, 0, 8, 40)),
+                                                   st.integers(0, 30)))))
     return ComputeGraph(tensors, ops)
 
 
