@@ -11,7 +11,12 @@ columns px, px+s, ..., so every kernel tap reads one contiguous slice of
 one flattened plane.  Each slice is multiplied by the tap's weights tiled
 across the plane width into a reused scratch buffer and added in place,
 so the inner loops run over whole rows however few channels there are.
+The taps run one band of output rows at a time, the band sized so its
+accumulator slice and product buffer stay in L2 cache across all k*k
+taps; every output element sees the same operations in the same order.
 The extra columns this computes are dropped when the bias is added.
+The 3x3 dense convolution (the stem) builds its im2col columns with one
+copy of a strided window view over the padded input, in (ky, kx, c) order.
 Elementwise epilogues that follow a freshly produced tensor (the bias add
 in ``conv2d``, ``relu6(..., out=...)``) write in place.
 
@@ -39,6 +44,9 @@ from .tensor import assert_activation
 # Running multiply-add tally.  Incremented by every operator invocation;
 # read it around a forward pass to get the exact executed MAdd count.
 _MADDS = 0
+
+# Depthwise accumulator bytes per band of output rows: 1/8 of a 2 MiB L2.
+_BAND_BYTES = 256 * 1024
 
 
 def reset_madd_counter() -> None:
@@ -148,15 +156,14 @@ def conv2d(x: np.ndarray, p: Conv2dParams) -> np.ndarray:
         flat = view.reshape(-1, c)
         out = flat @ p.weights.reshape(c, p.out_channels)
     else:
-        xp, oh, ow = _pad_same(x, k, s)
-        # im2col: one strided slice per tap, stacked on a new trailing axis.
-        cols = np.empty((b, oh, ow, k * k, c), dtype=np.float32)
-        for ky in range(k):
-            for kx in range(k):
-                cols[:, :, :, ky * k + kx, :] = xp[
-                    :, ky : ky + (oh - 1) * s + 1 : s, kx : kx + (ow - 1) * s + 1 : s, :
-                ]
-        out = cols.reshape(-1, k * k * c) @ p.weights.reshape(k * k * c, p.out_channels)
+        xp, oh, ow = _pad_same(x, k, s)  # k=3 always pads: xp is C-contiguous
+        # im2col: window (oy, ox) row ky is one contiguous run of k*c floats.
+        # The copy is explicit: a reshape may return an overlapping view.
+        sb, sy, sx, _ = xp.strides
+        win = np.lib.stride_tricks.as_strided(
+            xp, (b, oh, ow, k, k * c), (sb, s * sy, s * sx, sy, xp.itemsize))
+        cols = np.ascontiguousarray(win).reshape(-1, k * k * c)
+        out = cols @ p.weights.reshape(k * k * c, p.out_channels)
     _charge_madds(b * oh * ow * k * k * c * p.out_channels)
     out += p.bias
     return out.reshape(b, oh, ow, p.out_channels)
@@ -191,17 +198,23 @@ def depthwise_conv(x: np.ndarray, p: DepthwiseParams) -> np.ndarray:
             planes[py, px, :, r0 : r0 + src.shape[1], j0 : j0 + src.shape[2], :] = src
     flat = planes.reshape(phases, phases, b, rows * wq * c)
     # Output rows in (b, oh, wq*c) layout; columns ow..wq are discarded.
-    n = oh * wq * c
-    taps = np.tile(p.weights.reshape(k, k, 1, c), (1, 1, wq, 1)).reshape(k, k, wq * c)
-    acc = np.zeros((b, oh, wq * c), dtype=np.float32)
-    prod = np.empty_like(acc)
-    for ky in range(k):
-        for kx in range(k):
-            start = ((ky // s) * wq + kx // s) * c
-            tap = flat[ky % s, kx % s, :, start : start + n].reshape(b, oh, wq * c)
-            np.multiply(tap, taps[ky, kx], out=prod)
-            acc += prod
-    del planes, flat, prod  # scratch goes before the output is allocated
+    row = wq * c
+    taps = np.empty((k, k, wq, c), dtype=np.float32)
+    taps[...] = p.weights.reshape(k, k, 1, c)
+    taps = taps.reshape(k, k, row)
+    acc = np.zeros((b, oh, row), dtype=np.float32)
+    band = max(1, min(oh, _BAND_BYTES // (b * row * acc.itemsize)))
+    prod = np.empty((b, band, row), dtype=np.float32)
+    for y in range(0, oh, band):
+        a = acc[:, y : y + band]
+        pr = prod[:, : a.shape[1]]
+        for ky in range(k):
+            for kx in range(k):
+                start = ((ky // s + y) * wq + kx // s) * c
+                tap = flat[ky % s, kx % s, :, start : start + a.shape[1] * row]
+                np.multiply(tap.reshape(a.shape), taps[ky, kx], out=pr)
+                a += pr
+    del planes, flat, tap, prod, pr, a  # scratch goes before the output
     _charge_madds(b * oh * ow * k * k * c)
     out = np.empty((b, oh, ow, c), dtype=np.float32)
     np.add(acc[:, :, : ow * c], np.tile(p.bias, ow), out=out.reshape(b, oh, ow * c))

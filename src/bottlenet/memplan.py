@@ -87,6 +87,8 @@ class ComputeGraph:
             if op.name in names:
                 raise GraphError(f"duplicate op {op.name!r}")
             names.add(op.name)
+            if op.workspace < 0:
+                raise GraphError(f"op {op.name!r} has negative workspace")
             if len(set(op.inputs)) != len(op.inputs):
                 raise GraphError(f"op {op.name!r} lists an input twice")
             for t in op.inputs + op.outputs:

@@ -90,6 +90,29 @@ def seed_depthwise(x: np.ndarray, p: DepthwiseParams) -> np.ndarray:
     return out
 
 
+def seed_conv2d(x: np.ndarray, p: Conv2dParams) -> np.ndarray:
+    """The original k=3 im2col, kept as the byte-exactness reference.
+
+    np.pad, then one strided slice per tap copied into a (b, oh, ow, k*k, c)
+    column buffer, one matmul, bias last.  The production kernel must build
+    the same columns, and so get these bytes, exactly.
+    """
+    b, h, w, c = x.shape
+    k, s = p.kernel, p.stride
+    oh, pt, pb = same_pad_amounts(h, k, s)
+    ow, pl, pr = same_pad_amounts(w, k, s)
+    xp = np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
+    cols = np.empty((b, oh, ow, k * k, c), dtype=np.float32)
+    for ky in range(k):
+        for kx in range(k):
+            cols[:, :, :, ky * k + kx, :] = xp[
+                :, ky : ky + (oh - 1) * s + 1 : s, kx : kx + (ow - 1) * s + 1 : s, :
+            ]
+    out = cols.reshape(-1, k * k * c) @ p.weights.reshape(k * k * c, p.out_channels)
+    out += p.bias
+    return out.reshape(b, oh, ow, p.out_channels)
+
+
 # The MobileNetV2 stage table (t, c, n, s), restated here so the parameter
 # oracle below shares nothing with bottlenet.model.
 MOBILENETV2_STAGES = (

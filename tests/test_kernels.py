@@ -23,6 +23,7 @@ from conftest import (
     naive_depthwise,
     positive_conv,
     positive_depthwise,
+    seed_conv2d,
     seed_depthwise,
 )
 
@@ -75,6 +76,30 @@ class TestConv2d:
         assert kernels.madd_count() == 2 * oh * ow * 9 * 3 * 4
 
 
+def sliced_input(rng, b, h, w, c, lo, hi, zeros):
+    """A (b, h, w, c) channel slice of a wider array: a strided view whenever
+    lo or hi is nonzero.  ``zeros`` plants +0.0 and -0.0."""
+    x = random_gaussian((b, h, w, lo + c + hi), rng)
+    if zeros:
+        x[..., ::2] = 0.0
+        x[:, ::2, :, 1::2] = -0.0
+    return x[..., lo : lo + c]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    b=st.integers(1, 3), h=st.integers(1, 17), w=st.integers(1, 17),
+    cin=st.integers(1, 5), cout=st.integers(1, 8), stride=st.sampled_from([1, 2]),
+    lo=st.integers(0, 3), hi=st.integers(0, 3), zeros=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stem_conv_bytes_match_seed_im2col(b, h, w, cin, cout, stride, lo, hi, zeros, seed):
+    rng = Rng(seed)
+    xs = sliced_input(rng, b, h, w, cin, lo, hi, zeros)
+    p = Conv2dParams(3, stride, cin, cout, rng.normal((3, 3, cin, cout)), rng.normal((cout,)))
+    assert conv2d(xs, p).tobytes() == seed_conv2d(xs, p).tobytes()
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     h=st.integers(1, 17),
@@ -99,6 +124,18 @@ def test_same_padding_extra_goes_bottom_right():
     assert (out, beg, end) == (2, 0, 1)
     out, beg, end = same_pad_amounts(224, 3, 2)
     assert (out, beg, end) == (112, 0, 1)
+
+
+def sliced_depthwise_case(b, h, w, c, kernel, stride, lo, hi, zeros, seed):
+    """Input, weights and bias that are all channel slices of wider arrays."""
+    rng = Rng(seed)
+    xs = sliced_input(rng, b, h, w, c, lo, hi, zeros)
+    wide = lo + c + hi
+    weights = rng.normal((kernel, kernel, wide))
+    p = DepthwiseParams(kernel, stride, c, weights[..., lo : lo + c],
+                        rng.normal((wide,))[lo : lo + c])
+    assert np.shares_memory(p.weights, weights)
+    return xs, p
 
 
 class TestDepthwise:
@@ -139,19 +176,39 @@ class TestDepthwise:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_bytes_match_seed_loop(self, b, h, w, c, kernel, stride, lo, hi, zeros, seed):
-        # Inputs and weights are channel slices of wider arrays: strided
-        # views whenever lo or hi is nonzero.
-        rng = Rng(seed)
-        wide = lo + c + hi
-        x = random_gaussian((b, h, w, wide), rng)
-        if zeros:
-            x[..., ::2] = 0.0
-            x[:, ::2, :, 1::2] = -0.0
-        weights = rng.normal((kernel, kernel, wide))
-        p = DepthwiseParams(kernel, stride, c, weights[..., lo : lo + c],
-                            rng.normal((wide,))[lo : lo + c])
-        assert np.shares_memory(p.weights, weights)
-        xs = x[..., lo : lo + c]
+        xs, p = sliced_depthwise_case(b, h, w, c, kernel, stride, lo, hi, zeros, seed)
+        assert depthwise_conv(xs, p).tobytes() == seed_depthwise(xs, p).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        b=st.integers(1, 3), h=st.integers(1, 12), w=st.integers(1, 12),
+        c=st.integers(1, 9), kernel=st.sampled_from([1, 3]), stride=st.sampled_from([1, 2]),
+        lo=st.integers(0, 3), hi=st.integers(0, 3), zeros=st.booleans(),
+        seed=st.integers(0, 2**32 - 1), band_rows=st.sampled_from([1, 2, 3]),
+    )
+    def test_bytes_match_seed_loop_across_bands(self, b, h, w, c, kernel, stride, lo, hi,
+                                                zeros, seed, band_rows):
+        # Shrink the band so these small maps run 1, 2 or 3 output rows at
+        # a time: an accumulator row is (ow + (k-1)//s) * c floats per image.
+        xs, p = sliced_depthwise_case(b, h, w, c, kernel, stride, lo, hi, zeros, seed)
+        row_bytes = b * (-(-w // stride) + (kernel - 1) // stride) * c * 4
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "_BAND_BYTES", band_rows * row_bytes)
+            got = depthwise_conv(xs, p)
+        assert got.tobytes() == seed_depthwise(xs, p).tobytes()
+
+    @pytest.mark.parametrize("shape,stride,lo,hi", [
+        ((1, 112, 112, 32), 1, 0, 0),
+        ((1, 112, 112, 96), 2, 0, 0),
+        ((1, 56, 56, 144), 1, 0, 0),
+        ((8, 48, 48, 16), 1, 0, 0),
+        ((1, 112, 112, 12), 1, 12, 72),  # a channel group, as in a cascade
+    ])
+    def test_bytes_match_seed_loop_default_bands(self, shape, stride, lo, hi):
+        b, h, w, c = shape
+        # These accumulators span several bands of the default size.
+        assert b * -(-h // stride) * (-(-w // stride) + 2 // stride) * c * 4 > kernels._BAND_BYTES
+        xs, p = sliced_depthwise_case(b, h, w, c, 3, stride, lo, hi, True, sum(shape))
         assert depthwise_conv(xs, p).tobytes() == seed_depthwise(xs, p).tobytes()
 
 

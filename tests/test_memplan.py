@@ -465,3 +465,19 @@ class TestGraphValidation:
     def test_unknown_tensor_rejected(self):
         with pytest.raises(GraphError):
             ComputeGraph([TensorNode("a", 1)], [OpNode("f", ("a",), ("zzz",))])
+
+    def test_negative_workspace_rejected(self):
+        # A negative step cost would let the exact search return an empty
+        # "optimal" order and the greedy sweep report a peak of 0.
+        with pytest.raises(GraphError, match="negative workspace"):
+            ComputeGraph([TensorNode("a", 10), TensorNode("b", 100)],
+                         [OpNode("f", ("a",), ("b",), workspace=-1000)])
+
+    def test_negative_workspace_rejected_from_jsonl(self):
+        buf = io.StringIO(
+            '{"kind": "tensor", "name": "a", "bytes": 10}\n'
+            '{"kind": "tensor", "name": "b", "bytes": 100}\n'
+            '{"kind": "op", "name": "f", "inputs": ["a"], "outputs": ["b"], "workspace": -1000}\n'
+        )
+        with pytest.raises(GraphError, match="negative workspace"):
+            ComputeGraph.load_jsonl(buf)
