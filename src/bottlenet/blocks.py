@@ -9,6 +9,9 @@ output widths match, and it connects those thin tensors.
 When the expansion ratio is 1 the expansion conv would be a square 1x1
 layer; builders may drop it entirely (``expand=None``), which mirrors the
 usual released topology for the first block of the network.
+
+``bottleneck_forward`` also runs a block one group of expanded channels
+at a time, the memory-efficient execution that ``memplan`` plans.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ChannelMismatchError, InvalidShapeError
-from .kernels import (
+# add_residual is not called here; perfbench/tracing.py patches it by this name.
+from .kernels import (  # noqa: F401
     Conv2dParams,
     DepthwiseParams,
     add_residual,
@@ -92,49 +96,73 @@ class BottleneckParams:
         return self.stride == 1 and self.in_channels == self.out_channels
 
 
-def bottleneck_forward(x: np.ndarray, p: BottleneckParams, tap: Tap | None = None) -> np.ndarray:
-    """Run one block; output shape (b, ceil(h/s), ceil(w/s), out_channels)."""
+def _group_stages(p: BottleneckParams, start: int, stop: int):
+    """(expand, depthwise, project) of expanded channels start..stop, as
+    views of the block's weights.  The projection bias is zero: the block
+    adds its own bias once, after the group sum."""
+    width = stop - start
+    expand = None
+    if p.expand is not None:
+        expand = Conv2dParams(1, 1, p.in_channels, width,
+                              p.expand.weights[:, :, :, start:stop], p.expand.bias[start:stop])
+    depthwise = DepthwiseParams(p.depthwise.kernel, p.stride, width,
+                                p.depthwise.weights[:, :, start:stop],
+                                p.depthwise.bias[start:stop])
+    project = Conv2dParams(1, 1, width, p.out_channels, p.project.weights[:, :, start:stop, :],
+                           np.zeros(p.out_channels, dtype=np.float32))
+    return expand, depthwise, project
+
+
+def _group_forward(x, expand, depthwise, project, tap):
+    """Projection of one group: expand -> ReLU6 -> depthwise -> ReLU6 ->
+    project.  Without an expansion conv ``x`` is the group's own channels."""
+    inner = x
+    if expand is not None:
+        inner = conv2d(x, expand)
+        inner = relu6(inner, out=inner)
+        if tap is not None:
+            tap("expand", inner)
+    inner = depthwise_conv(inner, depthwise)
+    inner = relu6(inner, out=inner)
+    if tap is not None:
+        tap("depthwise", inner)
+    return conv2d(inner, project)
+
+
+def bottleneck_forward(
+    x: np.ndarray,
+    p: BottleneckParams,
+    tap: Tap | None = None,
+    groups: tuple[tuple[int, int], ...] | None = None,
+) -> np.ndarray:
+    """Run one block; output shape (b, ceil(h/s), ceil(w/s), out_channels).
+
+    ``groups`` is a contiguous partition of the expanded channels into
+    ``(start, stop)`` ranges; the default is one range over all of them.
+    The inner stages act per channel, so the block equals the sum over
+    groups of each group's projection, and only one group-sized inner
+    tensor is alive at a time.  One group runs the block's own stage
+    parameters, so its projection adds the bias itself; several sum their
+    projections in group order in float32 and add the projection bias once
+    after the sum.  The shortcut joins last.  ``tap`` fires once per group.
+    """
     assert_activation(x, "bottleneck input")
     if x.shape[3] != p.in_channels:
         raise ChannelMismatchError(
             f"block expects {p.in_channels} input channels, got {x.shape[3]}"
         )
-    inner = x
-    if p.expand is not None:
-        inner = conv2d(inner, p.expand)
-        inner = relu6(inner, out=inner)
-        if tap is not None:
-            tap("expand", inner)
-    inner = depthwise_conv(inner, p.depthwise)
-    inner = relu6(inner, out=inner)
-    if tap is not None:
-        tap("depthwise", inner)
-    out = conv2d(inner, p.project)
+    if groups is None or len(groups) == 1:
+        out = _group_forward(x, p.expand, p.depthwise, p.project, tap)
+    else:
+        b, h, w, _ = x.shape
+        s = p.stride
+        out = np.zeros((b, -(-h // s), -(-w // s), p.out_channels), dtype=np.float32)
+        for start, stop in groups:
+            expand, depthwise, project = _group_stages(p, start, stop)
+            group_x = x if expand is not None else x[:, :, :, start:stop]
+            # The projection is a temporary: it is freed before the next group.
+            out += _group_forward(group_x, expand, depthwise, project, tap)
+        out += p.project.bias
     if p.use_shortcut:
-        out = add_residual(out, x)
+        out += x
     return out
-
-
-def bottleneck_madds(
-    h: int,
-    w: int,
-    in_channels: int,
-    out_channels: int,
-    expansion: float = 6,
-    kernel: int = 3,
-    stride: int = 1,
-) -> int:
-    """Multiply-adds of the three-stage block.
-
-    At stride 1 this collapses to h*w*k*t*(k + kernel^2 + k'): expansion,
-    depthwise and projection all run at the same resolution.  With a
-    stride the expansion still runs at the input resolution while the
-    depthwise and projection run at ceil(h/s) x ceil(w/s).
-    """
-    inner = expanded_width(in_channels, expansion)
-    oh = -(-h // stride)
-    ow = -(-w // stride)
-    expand = h * w * in_channels * inner
-    dwise = oh * ow * kernel * kernel * inner
-    project = oh * ow * inner * out_channels
-    return expand + dwise + project

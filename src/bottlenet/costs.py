@@ -12,10 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import kernels
-from .model import LayerRecord, Model, ModelSpec, layer_walk
+from .model import LayerRecord, ModelSpec, layer_walk
 
 
 def _out_hw(h: int, w: int, stride: int) -> tuple[int, int]:
@@ -108,14 +105,3 @@ def model_cost(spec: ModelSpec) -> CostReport:
     rows = [_cost_row(r) for r in layer_walk(spec)]
     return CostReport(spec.resolution, spec.width_multiplier, rows)
 
-
-def instrumented_count(model: Model, x: np.ndarray) -> int:
-    """Multiply-adds actually executed by a forward pass on ``x``.
-
-    The kernel counter charges every kernel tap of every output element,
-    so for a batch-1 input this equals the analytic ``model_cost`` total
-    exactly.
-    """
-    kernels.reset_madd_counter()
-    model.forward(x)
-    return kernels.madd_count()

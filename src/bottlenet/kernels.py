@@ -25,9 +25,9 @@ Padding convention
 SAME padding with ceil division: out = ceil(in / stride) along each
 spatial axis.  When the total pad is odd the extra row/column goes on the
 bottom/right.  Padded positions contribute zeros, and the multiply-add
-counter charges them like any other tap (one MAdd per kernel tap per
-output element), which is the convention every published operation count
-uses.
+count (``costs``) charges them like any other tap (one MAdd per kernel
+tap per output element), which is the convention every published
+operation count uses.
 
 Convolution is cross-correlation: no kernel flip.
 """
@@ -41,26 +41,8 @@ import numpy as np
 from .errors import ChannelMismatchError, InvalidShapeError, ShapeMismatchError
 from .tensor import assert_activation
 
-# Running multiply-add tally.  Incremented by every operator invocation;
-# read it around a forward pass to get the exact executed MAdd count.
-_MADDS = 0
-
 # Depthwise accumulator bytes per band of output rows: 1/8 of a 2 MiB L2.
 _BAND_BYTES = 256 * 1024
-
-
-def reset_madd_counter() -> None:
-    global _MADDS
-    _MADDS = 0
-
-
-def madd_count() -> int:
-    return _MADDS
-
-
-def _charge_madds(n: int) -> None:
-    global _MADDS
-    _MADDS += int(n)
 
 
 @dataclass
@@ -164,7 +146,6 @@ def conv2d(x: np.ndarray, p: Conv2dParams) -> np.ndarray:
             xp, (b, oh, ow, k, k * c), (sb, s * sy, s * sx, sy, xp.itemsize))
         cols = np.ascontiguousarray(win).reshape(-1, k * k * c)
         out = cols @ p.weights.reshape(k * k * c, p.out_channels)
-    _charge_madds(b * oh * ow * k * k * c * p.out_channels)
     out += p.bias
     return out.reshape(b, oh, ow, p.out_channels)
 
@@ -215,7 +196,6 @@ def depthwise_conv(x: np.ndarray, p: DepthwiseParams) -> np.ndarray:
                 np.multiply(tap.reshape(a.shape), taps[ky, kx], out=pr)
                 a += pr
     del planes, flat, tap, prod, pr, a  # scratch goes before the output
-    _charge_madds(b * oh * ow * k * k * c)
     out = np.empty((b, oh, ow, c), dtype=np.float32)
     np.add(acc[:, :, : ow * c], np.tile(p.bias, ow), out=out.reshape(b, oh, ow * c))
     return out

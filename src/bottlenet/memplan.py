@@ -22,9 +22,11 @@ Three related tools live here:
   the first order that reaches the smallest peak, and the greedy one
   breaks equal step costs toward the lower index.
 
-* ``cascade_execute`` runs a bottleneck block as a sum over channel
-  groups of the expanded tensor.  Because the inner stages act
-  per-channel, the block output equals the sum over groups of
+* ``CascadePlan`` partitions a bottleneck block's expanded channels into
+  groups, and ``cascade_peak_bytes`` bounds the working set of running
+  the block one group at a time.  ``blocks.bottleneck_forward`` executes
+  the plan (``cascade_execute`` hands it the groups): because the inner
+  stages act per-channel, the block output equals the sum over groups of
   (project o inner o expand) applied to each group's slice, so only one
   group-sized inner tensor is ever materialized.  The multiply-add count
   is independent of the group count.
@@ -46,11 +48,11 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .blocks import BottleneckParams
+from .blocks import BottleneckParams, bottleneck_forward
 from .errors import GraphError, GraphTooLargeError, InvalidShapeError
-from .kernels import Conv2dParams, DepthwiseParams, conv2d, depthwise_conv, relu6
+# Not called here; perfbench/tracing.py patches these names on this module.
+from .kernels import conv2d, depthwise_conv, relu6  # noqa: F401
 from .model import LayerRecord, ModelSpec, layer_walk
-from .tensor import assert_activation
 
 
 @dataclass(frozen=True)
@@ -449,54 +451,19 @@ def cascade_peak_bytes(
 def cascade_execute(
     x: np.ndarray, p: BottleneckParams, plan: CascadePlan
 ) -> tuple[np.ndarray, int]:
-    """Split execution of one block; returns (output, peak working-set bytes).
+    """Split execution of one block; returns (output, planned peak
+    working-set bytes from ``cascade_peak_bytes``).
 
-    Group contributions accumulate in group-index order in float32.  The
-    projection bias is applied once, after all groups, and the shortcut
-    (when present) joins last, matching the monolithic operand order so a
-    single-group plan is exactly the monolithic result.
+    ``blocks.bottleneck_forward`` runs the block over the plan's groups, so
+    a single-group plan is exactly the monolithic result.
     """
-    assert_activation(x, "cascade input")
-    inner_total = p.expanded_channels
-    if plan.total_channels != inner_total:
+    if plan.total_channels != p.expanded_channels:
         raise InvalidShapeError(
-            f"plan covers {plan.total_channels} channels, block has {inner_total}"
+            f"plan covers {plan.total_channels} channels, block has {p.expanded_channels}"
         )
+    out = bottleneck_forward(x, p, groups=plan.groups)
     b, h, w, _ = x.shape
-    oh = -(-h // p.stride)
-    ow = -(-w // p.stride)
-    acc = np.zeros((b, oh, ow, p.out_channels), dtype=np.float32)
-    for start, stop in plan.groups:
-        width = stop - start
-        if p.expand is not None:
-            sub = Conv2dParams(
-                kernel=1, stride=1,
-                in_channels=p.in_channels, out_channels=width,
-                weights=p.expand.weights[:, :, :, start:stop],
-                bias=p.expand.bias[start:stop],
-            )
-            g = conv2d(x, sub)
-            g = relu6(g, out=g)
-        else:
-            g = x[:, :, :, start:stop]
-        sub_dw = DepthwiseParams(
-            kernel=p.depthwise.kernel, stride=p.stride, channels=width,
-            weights=p.depthwise.weights[:, :, start:stop],
-            bias=p.depthwise.bias[start:stop],
-        )
-        g = depthwise_conv(g, sub_dw)
-        g = relu6(g, out=g)
-        sub_proj = Conv2dParams(
-            kernel=1, stride=1, in_channels=width, out_channels=p.out_channels,
-            weights=p.project.weights[:, :, start:stop, :],
-            bias=np.zeros(p.out_channels, dtype=np.float32),
-        )
-        acc += conv2d(g, sub_proj)
-    acc += p.project.bias
-    if p.use_shortcut:
-        acc += x
-    peak = cascade_peak_bytes(p, h, w, plan, bytes_per_activation=4, batch=b)
-    return acc, peak
+    return out, cascade_peak_bytes(p, h, w, plan, bytes_per_activation=4, batch=b)
 
 
 def memory_table(spec: ModelSpec, bytes_per_activation: int = 2) -> MemoryReport:

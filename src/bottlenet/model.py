@@ -131,20 +131,17 @@ class ConvLayer:
     name: str
     params: Conv2dParams
     activation: str  # "relu6" or "none"
-    out_shape: tuple[int, int, int]
 
 
 @dataclass
 class BottleneckLayer:
     name: str
     params: BottleneckParams
-    out_shape: tuple[int, int, int]
 
 
 @dataclass
 class PoolLayer:
     name: str
-    out_shape: tuple[int, int, int]
 
 
 Layer = Union[ConvLayer, BottleneckLayer, PoolLayer]
@@ -339,12 +336,12 @@ def build_model(spec: ModelSpec) -> Model:
     for r in layer_walk(spec):
         if r.kind == "conv":
             params = _zero_conv(r.kernel, r.stride, r.in_channels, r.out_channels)
-            model.layers.append(ConvLayer(r.name, params, r.activation, r.out_shape))
+            model.layers.append(ConvLayer(r.name, params, r.activation))
         elif r.kind == "block":
             # The walk decides whether the expansion conv exists.
             params = make_bottleneck(r.in_channels, r.out_channels, r.expansion,
                                      r.stride, fuse_single_expansion=not r.expand)
-            model.layers.append(BottleneckLayer(r.name, params, r.out_shape))
+            model.layers.append(BottleneckLayer(r.name, params))
         else:
-            model.layers.append(PoolLayer(r.name, r.out_shape))
+            model.layers.append(PoolLayer(r.name))
     return model

@@ -6,7 +6,7 @@ C layout over that axis order means the flat index of element
 ``(b, y, x, c)`` is ``((b * H + y) * W + x) * C + c``: channels are the
 fastest-moving axis, so slicing a contiguous channel range of one pixel
 touches contiguous memory.  The channel-split execution path in
-``memplan`` relies on this.
+``blocks`` relies on this.
 
 Tensors are treated as immutable once handed to a consumer; no function
 in this package mutates its inputs.

@@ -13,12 +13,25 @@ near-zero outputs regardless of implementation quality.
 
 from __future__ import annotations
 
+import contextlib
+import types
+
 import numpy as np
 import pytest
 
-from bottlenet.kernels import Conv2dParams, DepthwiseParams, same_pad_amounts
-from bottlenet.memplan import ComputeGraph
-from bottlenet.tensor import Rng
+from bottlenet.blocks import BottleneckParams, expanded_width
+from bottlenet.errors import ChannelMismatchError, InvalidShapeError
+from bottlenet.kernels import (
+    Conv2dParams,
+    DepthwiseParams,
+    add_residual,
+    conv2d,
+    depthwise_conv,
+    relu6,
+    same_pad_amounts,
+)
+from bottlenet.memplan import CascadePlan, ComputeGraph, cascade_peak_bytes
+from bottlenet.tensor import Rng, assert_activation
 
 
 def naive_conv2d(x: np.ndarray, p: Conv2dParams) -> np.ndarray:
@@ -111,6 +124,141 @@ def seed_conv2d(x: np.ndarray, p: Conv2dParams) -> np.ndarray:
     out = cols.reshape(-1, k * k * c) @ p.weights.reshape(k * k * c, p.out_channels)
     out += p.bias
     return out.reshape(b, oh, ow, p.out_channels)
+
+
+def seed_bottleneck_forward(x: np.ndarray, p: BottleneckParams) -> np.ndarray:
+    """The original monolithic block, kept as the byte-exactness reference
+    for a single-group run: the block's own stages, the projection adding
+    its bias, the shortcut as a fresh sum."""
+    assert_activation(x, "bottleneck input")
+    if x.shape[3] != p.in_channels:
+        raise ChannelMismatchError(
+            f"block expects {p.in_channels} input channels, got {x.shape[3]}"
+        )
+    inner = x
+    if p.expand is not None:
+        inner = conv2d(inner, p.expand)
+        inner = relu6(inner, out=inner)
+    inner = depthwise_conv(inner, p.depthwise)
+    inner = relu6(inner, out=inner)
+    out = conv2d(inner, p.project)
+    if p.use_shortcut:
+        out = add_residual(out, x)
+    return out
+
+
+def seed_cascade_execute(
+    x: np.ndarray, p: BottleneckParams, plan: CascadePlan
+) -> tuple[np.ndarray, int]:
+    """The original split execution, kept as the byte-exactness and memory
+    reference for a multi-group run: a zeroed float32 accumulator, groups
+    added in order with a zero-bias projection, the projection bias once
+    after all groups, the shortcut last."""
+    assert_activation(x, "cascade input")
+    inner_total = p.expanded_channels
+    if plan.total_channels != inner_total:
+        raise InvalidShapeError(
+            f"plan covers {plan.total_channels} channels, block has {inner_total}"
+        )
+    b, h, w, _ = x.shape
+    oh = -(-h // p.stride)
+    ow = -(-w // p.stride)
+    acc = np.zeros((b, oh, ow, p.out_channels), dtype=np.float32)
+    for start, stop in plan.groups:
+        width = stop - start
+        if p.expand is not None:
+            sub = Conv2dParams(
+                kernel=1, stride=1,
+                in_channels=p.in_channels, out_channels=width,
+                weights=p.expand.weights[:, :, :, start:stop],
+                bias=p.expand.bias[start:stop],
+            )
+            g = conv2d(x, sub)
+            g = relu6(g, out=g)
+        else:
+            g = x[:, :, :, start:stop]
+        sub_dw = DepthwiseParams(
+            kernel=p.depthwise.kernel, stride=p.stride, channels=width,
+            weights=p.depthwise.weights[:, :, start:stop],
+            bias=p.depthwise.bias[start:stop],
+        )
+        g = depthwise_conv(g, sub_dw)
+        g = relu6(g, out=g)
+        sub_proj = Conv2dParams(
+            kernel=1, stride=1, in_channels=width, out_channels=p.out_channels,
+            weights=p.project.weights[:, :, start:stop, :],
+            bias=np.zeros(p.out_channels, dtype=np.float32),
+        )
+        acc += conv2d(g, sub_proj)
+    acc += p.project.bias
+    if p.use_shortcut:
+        acc += x
+    peak = cascade_peak_bytes(p, h, w, plan, bytes_per_activation=4, batch=b)
+    return acc, peak
+
+
+def bottleneck_madds(
+    h: int,
+    w: int,
+    in_channels: int,
+    out_channels: int,
+    expansion: float = 6,
+    kernel: int = 3,
+    stride: int = 1,
+) -> int:
+    """Multiply-adds of the three-stage block, the paper's closed form.
+
+    At stride 1 this collapses to h*w*k*t*(k + kernel^2 + k'): expansion,
+    depthwise and projection all run at the same resolution.  With a
+    stride the expansion still runs at the input resolution while the
+    depthwise and projection run at ceil(h/s) x ceil(w/s).
+    """
+    inner = expanded_width(in_channels, expansion)
+    oh = -(-h // stride)
+    ow = -(-w // stride)
+    expand = h * w * in_channels * inner
+    dwise = oh * ow * kernel * kernel * inner
+    project = oh * ow * inner * out_channels
+    return expand + dwise + project
+
+
+@contextlib.contextmanager
+def executed_madds():
+    """Tally the multiply-adds that convolution calls execute inside the
+    ``with`` block: one MAdd per kernel tap per output element, padding
+    taps included, charged from each call's input and parameter shapes.
+
+    ``conv2d`` and ``depthwise_conv`` are patched on every module that
+    binds them (call them as ``kernels.conv2d`` so the patch applies) and
+    restored on exit::
+
+        with executed_madds() as madds:
+            model.forward(x)
+        assert madds.total == model_cost(spec).total_madds
+    """
+    from bottlenet import blocks, kernels, memplan, model
+
+    tally = types.SimpleNamespace(total=0)
+    conv, dwise = kernels.conv2d, kernels.depthwise_conv
+
+    def taps(x, p):
+        b, h, w, _ = x.shape
+        return b * -(-h // p.stride) * -(-w // p.stride) * p.kernel * p.kernel
+
+    def counted_conv(x, p):
+        tally.total += taps(x, p) * p.in_channels * p.out_channels
+        return conv(x, p)
+
+    def counted_dwise(x, p):
+        tally.total += taps(x, p) * p.channels
+        return dwise(x, p)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (kernels, blocks, model, memplan):
+            for name, counted in (("conv2d", counted_conv), ("depthwise_conv", counted_dwise)):
+                if hasattr(module, name):
+                    mp.setattr(module, name, counted)
+        yield tally
 
 
 # The MobileNetV2 stage table (t, c, n, s), restated here so the parameter

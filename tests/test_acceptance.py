@@ -23,7 +23,7 @@ import numpy as np
 from bottlenet import cli
 
 from bottlenet import kernels
-from bottlenet.blocks import bottleneck_forward, bottleneck_madds
+from bottlenet.blocks import bottleneck_forward
 from bottlenet.costs import madds_depthwise, madds_standard_conv, model_cost
 from bottlenet.memplan import (
     CascadePlan,
@@ -49,6 +49,8 @@ from bottlenet.theory import (
 )
 
 from conftest import (
+    bottleneck_madds,
+    executed_madds,
     exhaustive_schedules,
     naive_conv2d,
     naive_depthwise,
@@ -185,9 +187,9 @@ def test_c3_oracle_suite():
             w = int(rng.integers(1, 7))
             x = rng.uniform((1, h, w, cin), 0.0, 1.0)
             p = positive_conv(rng, k, s, cin, cout)
-            kernels.reset_madd_counter()
-            got = kernels.conv2d(x, p)
-            assert kernels.madd_count() == madds_standard_conv(h, w, cin, cout, k, s)
+            with executed_madds() as madds:
+                got = kernels.conv2d(x, p)
+            assert madds.total == madds_standard_conv(h, w, cin, cout, k, s)
             worst = max(worst, max_abs_rel_diff(got, naive_conv2d(x, p)))
             cases += 1
         for i in range(30):  # depthwise
@@ -197,9 +199,9 @@ def test_c3_oracle_suite():
             w = int(rng.integers(1, 8))
             x = rng.uniform((1, h, w, c), 0.0, 1.0)
             p = positive_depthwise(rng, 3, s, c)
-            kernels.reset_madd_counter()
-            got = kernels.depthwise_conv(x, p)
-            assert kernels.madd_count() == madds_depthwise(h, w, c, 3, s)
+            with executed_madds() as madds:
+                got = kernels.depthwise_conv(x, p)
+            assert madds.total == madds_depthwise(h, w, c, 3, s)
             worst = max(worst, max_abs_rel_diff(got, naive_depthwise(x, p)))
             cases += 1
         for i in range(30):  # whole blocks vs recomposed naive kernels
@@ -213,9 +215,9 @@ def test_c3_oracle_suite():
                 stage.weights[...] = rng.uniform(stage.weights.shape, 0.0, 0.1)
                 stage.bias[...] = rng.uniform(stage.bias.shape, 0.0, 0.1)
             x = rng.uniform((1, h, w, cin), 0.0, 1.0)
-            kernels.reset_madd_counter()
-            got = bottleneck_forward(x, p)
-            assert kernels.madd_count() == bottleneck_madds(h, w, cin, cout, t, stride=s)
+            with executed_madds() as madds:
+                got = bottleneck_forward(x, p)
+            assert madds.total == bottleneck_madds(h, w, cin, cout, t, stride=s)
             ref = kernels.relu6(naive_conv2d(x, p.expand))
             ref = kernels.relu6(naive_depthwise(ref, p.depthwise))
             ref = naive_conv2d(ref, p.project)
@@ -225,7 +227,7 @@ def test_c3_oracle_suite():
             cases += 1
     ok = cases >= 100 and worst < 1e-5
     report("C3", ok, f"{cases} cases, worst rel diff {worst:.2e} < 1e-5, "
-                     "instrumented==formula exact")
+                     "executed==formula exact")
     assert ok
 
 
@@ -239,14 +241,14 @@ def test_c4_cascade_equivalence():
             stage.weights[...] = rng.uniform(stage.weights.shape, 0.0, 0.05)
             stage.bias[...] = rng.uniform(stage.bias.shape, 0.0, 0.1)
         x = rng.uniform((1, 14, 14, 64), 0.0, 1.0)
-        kernels.reset_madd_counter()
-        ref = bottleneck_forward(x, p)
-        ref_madds = kernels.madd_count()
+        with executed_madds() as executed:
+            ref = bottleneck_forward(x, p)
+        ref_madds = executed.total
         diffs, madds, peaks = {}, {}, {}
         for split in (1, 2, 3, 5, 384):
-            kernels.reset_madd_counter()
-            out, peak = cascade_execute(x, p, CascadePlan.from_split(384, split))
-            madds[split] = kernels.madd_count()
+            with executed_madds() as executed:
+                out, peak = cascade_execute(x, p, CascadePlan.from_split(384, split))
+            madds[split] = executed.total
             peaks[split] = peak
             diffs[split] = max_abs_rel_diff(ref, out)
     ok_diff = all(d < 1e-5 for d in diffs.values())

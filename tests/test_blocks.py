@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
 
-from bottlenet import kernels
 from bottlenet.blocks import (
     BottleneckParams,
     bottleneck_forward,
-    bottleneck_madds,
     expanded_width,
 )
 from bottlenet.errors import InvalidShapeError
@@ -13,7 +11,7 @@ from bottlenet.kernels import relu6
 from bottlenet.model import make_bottleneck
 from bottlenet.tensor import Rng, max_abs_rel_diff, new_tensor
 
-from conftest import naive_conv2d, naive_depthwise
+from conftest import bottleneck_madds, executed_madds, naive_conv2d, naive_depthwise
 
 
 def fill_positive(p: BottleneckParams, rng: Rng, scale: float = 0.05):
@@ -126,8 +124,8 @@ class TestMadds:
             rng = Rng(60 + stride)
             p = fill_positive(make_bottleneck(8, 12, 6, stride), rng)
             x = rng.uniform((1, 10, 10, 8), 0.0, 1.0)
-            kernels.reset_madd_counter()
-            bottleneck_forward(x, p)
-            assert kernels.madd_count() == bottleneck_madds(
+            with executed_madds() as madds:
+                bottleneck_forward(x, p)
+            assert madds.total == bottleneck_madds(
                 10, 10, 8, 12, expansion=6, stride=stride
             )

@@ -2,9 +2,7 @@ import tracemalloc
 
 import pytest
 
-from bottlenet.blocks import bottleneck_madds
 from bottlenet.costs import (
-    instrumented_count,
     madds_depthwise,
     madds_depthwise_separable,
     madds_standard_conv,
@@ -13,6 +11,8 @@ from bottlenet.costs import (
 )
 from bottlenet.model import ModelSpec, build_model, make_bottleneck
 from bottlenet.tensor import Rng, random_gaussian
+
+from conftest import bottleneck_madds, executed_madds
 
 ALPHAS = (0.35, 0.5, 0.75, 1.0, 1.4)
 RESOLUTIONS = (96, 128, 160, 192, 224)
@@ -100,17 +100,16 @@ class TestModelCost:
 class TestInstrumented:
     def test_single_pointwise_conv(self):
         from bottlenet import kernels
-        from bottlenet.kernels import Conv2dParams, conv2d
+        from bottlenet.kernels import Conv2dParams
 
         rng = Rng(1)
         p = Conv2dParams(1, 1, 6, 9, rng.normal((1, 1, 6, 9)), rng.normal((9,)))
         x = random_gaussian((1, 11, 13, 6), rng)
-        kernels.reset_madd_counter()
-        conv2d(x, p)
-        assert kernels.madd_count() == 11 * 13 * 6 * 9
+        with executed_madds() as madds:
+            kernels.conv2d(x, p)
+        assert madds.total == 11 * 13 * 6 * 9
 
     def test_single_bottleneck_matches_formula(self):
-        from bottlenet import kernels
         from bottlenet.blocks import bottleneck_forward
 
         rng = Rng(2)
@@ -118,15 +117,17 @@ class TestInstrumented:
         for st in (p.expand, p.depthwise, p.project):
             st.weights[...] = rng.normal(st.weights.shape)
         x = random_gaussian((1, 14, 14, 8), rng)
-        kernels.reset_madd_counter()
-        bottleneck_forward(x, p)
-        assert kernels.madd_count() == bottleneck_madds(14, 14, 8, 16, 6, stride=1)
+        with executed_madds() as madds:
+            bottleneck_forward(x, p)
+        assert madds.total == bottleneck_madds(14, 14, 8, 16, 6, stride=1)
 
     def test_full_small_model_exact(self):
         spec = ModelSpec(resolution=96, width_multiplier=0.35)
         model = build_model(spec).randomize(Rng(3))
         x = random_gaussian((1, 96, 96, 3), Rng(4))
-        assert instrumented_count(model, x) == model_cost(spec).total_madds
+        with executed_madds() as madds:
+            model.forward(x)
+        assert madds.total == model_cost(spec).total_madds
 
     def test_tables_allocate_no_weights(self):
         # Building the width-1.4 model zero-fills about 24 MB of weights;

@@ -22,6 +22,7 @@ from conftest import (
     naive_conv2d,
     naive_depthwise,
     positive_conv,
+    executed_madds,
     positive_depthwise,
     seed_conv2d,
     seed_depthwise,
@@ -70,10 +71,10 @@ class TestConv2d:
     def test_madds_charged_exactly(self):
         x = new_tensor((2, 7, 5, 3), 1.0)
         p = positive_conv(Rng(0), 3, 2, 3, 4)
-        kernels.reset_madd_counter()
-        conv2d(x, p)
+        with executed_madds() as madds:
+            kernels.conv2d(x, p)
         oh, ow = -(-7 // 2), -(-5 // 2)
-        assert kernels.madd_count() == 2 * oh * ow * 9 * 3 * 4
+        assert madds.total == 2 * oh * ow * 9 * 3 * 4
 
 
 def sliced_input(rng, b, h, w, c, lo, hi, zeros):

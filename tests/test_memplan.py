@@ -1,4 +1,6 @@
+import gc
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +28,10 @@ from bottlenet.model import ModelSpec, build_model, make_bottleneck
 from bottlenet.tensor import Rng, max_abs_rel_diff, random_gaussian
 
 from conftest import (
+    executed_madds,
     exhaustive_schedules,
+    seed_bottleneck_forward,
+    seed_cascade_execute,
     seed_greedy_memory_schedule,
     seed_min_memory_schedule,
     seed_schedule_steps,
@@ -351,12 +356,11 @@ class TestCascade:
     @pytest.mark.parametrize("split", [2, 3, 5])
     def test_split_equivalence_and_madd_invariance(self, split):
         p, x = positive_block()
-        kernels.reset_madd_counter()
-        ref = bottleneck_forward(x, p)
-        mono_madds = kernels.madd_count()
-        kernels.reset_madd_counter()
-        got, _ = cascade_execute(x, p, CascadePlan.from_split(384, split))
-        assert kernels.madd_count() == mono_madds
+        with executed_madds() as mono_madds:
+            ref = bottleneck_forward(x, p)
+        with executed_madds() as madds:
+            got, _ = cascade_execute(x, p, CascadePlan.from_split(384, split))
+        assert madds.total == mono_madds.total
         assert max_abs_rel_diff(ref, got) < 1e-5
 
     def test_peak_nonincreasing_in_split(self):
@@ -390,6 +394,69 @@ class TestCascade:
         assert max_abs_rel_diff(ref, got) < 1e-5
 
 
+class TestGroupExecutor:
+    """``bottleneck_forward`` over channel groups reproduces the seed paths
+    byte for byte: one group the monolithic block, several the cascade."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        b=st.integers(1, 3), h=st.integers(1, 12), w=st.integers(1, 12),
+        t=st.sampled_from([1, 6]), stride=st.sampled_from([1, 2]),
+        cin=st.integers(3, 6), widen=st.booleans(),
+        split=st.sampled_from([1, 2, 3, "inner"]),
+        seed=st.integers(0, 2**16), zeros=st.integers(0, 8),
+    )
+    def test_bytes_match_seed_paths(self, b, h, w, t, stride, cin, widen, split, seed, zeros):
+        rng = Rng(seed)
+        p = make_bottleneck(cin, cin + 2 if widen else cin, t, stride)
+        for stage in (p.expand, p.depthwise, p.project):
+            if stage is not None:
+                stage.weights[...] = rng.normal(stage.weights.shape, stddev=0.5)
+                stage.bias[...] = rng.normal(stage.bias.shape, stddev=0.1)
+        x = random_gaussian((b, h, w, cin), rng)
+        flat = x.reshape(-1)
+        for i in range(zeros):
+            flat[(i * 7919 + seed) % flat.size] = -0.0 if i % 2 else 0.0
+        inner = p.expanded_channels
+        plan = CascadePlan.from_split(inner, inner if split == "inner" else split)
+        got, peak = cascade_execute(x, p, plan)
+        grouped = bottleneck_forward(x, p, groups=plan.groups)
+        if len(plan.groups) == 1:
+            want = seed_bottleneck_forward(x, p)
+            assert bottleneck_forward(x, p).tobytes() == want.tobytes()
+        else:
+            want, want_peak = seed_cascade_execute(x, p, plan)
+            assert peak == want_peak
+        assert got.tobytes() == want.tobytes()
+        assert grouped.tobytes() == want.tobytes()
+
+    def test_split8_peak_not_above_seed_cascade(self):
+        # One group's projection is released before the next group runs,
+        # so the working set never holds two group-sized projections.
+        p, _ = positive_block(cin=24, cout=24, seed=95)
+        x = Rng(96).uniform((1, 56, 56, 24), 0.0, 1.0)
+        plan = CascadePlan.from_split(p.expanded_channels, 8)
+
+        def traced_peak(run):
+            gc.collect()
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            run(x, p, plan)
+            return tracemalloc.get_traced_memory()[1] - base
+
+        # Interleaved repeats under one trace; the minimum drops the tens of
+        # bytes of Python objects that allocator free lists sometimes absorb.
+        peaks = {cascade_execute: [], seed_cascade_execute: []}
+        tracemalloc.start()
+        try:
+            for _ in range(4):
+                for run in peaks:
+                    peaks[run].append(traced_peak(run))
+        finally:
+            tracemalloc.stop()
+        assert min(peaks[cascade_execute]) <= min(peaks[seed_cascade_execute]), peaks
+
+
 def cascade_runner(split):
     def run(x, p):
         plan = CascadePlan.from_split(p.expanded_channels, min(split, p.expanded_channels))
@@ -408,14 +475,13 @@ class TestCascadeOnModel:
         assert len(blocks) == 17
         for layer in blocks:
             p = layer.params
-            kernels.reset_madd_counter()
-            ref = bottleneck_forward(x, p)
-            mono_madds = kernels.madd_count()
+            with executed_madds() as mono_madds:
+                ref = bottleneck_forward(x, p)
             scale = float(np.max(np.abs(ref)))
             for split in (1, 2, 4, 8):
-                kernels.reset_madd_counter()
-                got = cascade_runner(split)(x, p)
-                assert kernels.madd_count() == mono_madds, (layer.name, split)
+                with executed_madds() as madds:
+                    got = cascade_runner(split)(x, p)
+                assert madds.total == mono_madds.total, (layer.name, split)
                 if split == 1:
                     assert got.tobytes() == ref.tobytes(), layer.name
                 else:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bottlenet.costs import model_cost
 from bottlenet.errors import InvalidShapeError, ShapeMismatchError
 from bottlenet.model import (
     BottleneckLayer,
@@ -67,19 +68,19 @@ class TestStructure:
         assert sum(b.params.use_shortcut for b in m.bottleneck_layers()) == 10
 
     def test_penultimate_feature_map(self):
-        m = build_model(ModelSpec())
-        head = next(l for l in m.layers if l.name == "head")
+        walk = list(layer_walk(ModelSpec()))
+        head = next(r for r in walk if r.name == "head")
         assert head.out_shape == (7, 7, 1280)
-        assert m.bottleneck_layers()[-1].out_shape == (7, 7, 320)
+        assert [r for r in walk if r.kind == "block"][-1].out_shape == (7, 7, 320)
 
     def test_head_unscaled_below_one(self):
-        m = build_model(ModelSpec(width_multiplier=0.35))
-        head = next(l for l in m.layers if l.name == "head")
+        rows = model_cost(ModelSpec(width_multiplier=0.35)).rows
+        head = next(r for r in rows if r.name == "head")
         assert head.out_shape[2] == 1280
 
     def test_head_scales_above_one(self):
-        m = build_model(ModelSpec(width_multiplier=1.4))
-        head = next(l for l in m.layers if l.name == "head")
+        rows = model_cost(ModelSpec(width_multiplier=1.4)).rows
+        head = next(r for r in rows if r.name == "head")
         assert head.out_shape[2] == 1792
 
     @pytest.mark.parametrize(
@@ -87,9 +88,8 @@ class TestStructure:
         [(224, [112, 56, 28, 14, 7]), (96, [48, 24, 12, 6, 3])],
     )
     def test_spatial_schedule(self, res, expected):
-        m = build_model(ModelSpec(resolution=res))
         seen = []
-        for layer in m.layers:
+        for layer in layer_walk(ModelSpec(resolution=res)):
             r = layer.out_shape[0]
             if not seen or seen[-1] != r:
                 seen.append(r)
@@ -175,7 +175,7 @@ class TestLayerWalk:
         walk = list(layer_walk(spec))
         model = build_model(spec)
         assert [l.name for l in model.layers] == [r.name for r in walk]
-        assert [l.out_shape for l in model.layers] == [r.out_shape for r in walk]
+        assert [r.out_shape for r in model_cost(spec).rows] == [r.out_shape for r in walk]
         assert model.parameter_schema() == schema_from_walk(walk)
         assert walk[0].in_shape == (res, res, 3)
         assert all(a.out_shape == b.in_shape for a, b in zip(walk, walk[1:]))
