@@ -6,9 +6,11 @@ ever follows the projection; the thin tensors at the block boundary stay
 linear.  The shortcut exists exactly when stride == 1 and the input and
 output widths match, and it connects those thin tensors.
 
-When the expansion ratio is 1 the expansion conv would be a square 1x1
-layer; builders may drop it entirely (``expand=None``), which mirrors the
-usual released topology for the first block of the network.
+The three stage parameters hold every width and the stride; the block
+reads them from there.  A block without an expansion conv
+(``expand=None``) runs the depthwise stage on its input directly; the
+builder omits it exactly when the expanded width equals the input width,
+which is the ratio-1 first block of the network.
 
 ``bottleneck_forward`` also runs a block one group of expanded channels
 at a time, the memory-efficient execution that ``memplan`` plans.
@@ -44,51 +46,43 @@ def expanded_width(in_channels: int, expansion: float) -> int:
 
 @dataclass
 class BottleneckParams:
-    in_channels: int
-    out_channels: int
-    expansion: float
-    stride: int
     expand: Optional[Conv2dParams]
     depthwise: DepthwiseParams
     project: Conv2dParams
 
     def __post_init__(self):
-        if self.expansion < 1:
-            raise InvalidShapeError(f"expansion must be >= 1, got {self.expansion}")
-        if self.stride not in (1, 2):
-            raise InvalidShapeError(f"stride must be 1 or 2, got {self.stride}")
-        inner = expanded_width(self.in_channels, self.expansion)
-        if self.expand is None:
-            if inner != self.in_channels:
-                raise InvalidShapeError(
-                    f"expansion conv may be omitted only when the expanded width "
-                    f"({inner}) equals the input width ({self.in_channels})"
-                )
-        else:
+        inner = self.depthwise.channels
+        if self.expand is not None:
             if self.expand.kernel != 1 or self.expand.stride != 1:
                 raise InvalidShapeError("expansion stage must be a 1x1 stride-1 conv")
-            if (self.expand.in_channels, self.expand.out_channels) != (self.in_channels, inner):
+            if self.expand.out_channels != inner:
                 raise InvalidShapeError(
-                    f"expansion stage maps {self.expand.in_channels}->"
-                    f"{self.expand.out_channels}, expected {self.in_channels}->{inner}"
+                    f"expansion stage outputs {self.expand.out_channels} channels, "
+                    f"depthwise stage has {inner}"
                 )
-        if self.depthwise.channels != inner:
-            raise InvalidShapeError(
-                f"depthwise stage has {self.depthwise.channels} channels, expected {inner}"
-            )
-        if self.depthwise.stride != self.stride:
-            raise InvalidShapeError("depthwise stride must equal the block stride")
         if self.project.kernel != 1 or self.project.stride != 1:
             raise InvalidShapeError("projection stage must be a 1x1 stride-1 conv")
-        if (self.project.in_channels, self.project.out_channels) != (inner, self.out_channels):
+        if self.project.in_channels != inner:
             raise InvalidShapeError(
-                f"projection stage maps {self.project.in_channels}->"
-                f"{self.project.out_channels}, expected {inner}->{self.out_channels}"
+                f"projection stage takes {self.project.in_channels} channels, "
+                f"depthwise stage has {inner}"
             )
 
     @property
+    def in_channels(self) -> int:
+        return self.depthwise.channels if self.expand is None else self.expand.in_channels
+
+    @property
+    def out_channels(self) -> int:
+        return self.project.out_channels
+
+    @property
+    def stride(self) -> int:
+        return self.depthwise.stride
+
+    @property
     def expanded_channels(self) -> int:
-        return expanded_width(self.in_channels, self.expansion)
+        return self.depthwise.channels
 
     @property
     def use_shortcut(self) -> bool:

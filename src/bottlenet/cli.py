@@ -26,7 +26,8 @@ def _apply_thread_env() -> None:
     value = os.environ.get("BTN_THREADS")
     if value is None:
         return
-    if not value.isdigit() or int(value) < 1:
+    # str.isdigit alone accepts non-ASCII digits such as '²' and '٣'.
+    if not (value.isascii() and value.isdigit()) or int(value) < 1:
         raise _usage(f"BTN_THREADS must be a positive integer, got {value!r}")
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(var, value)

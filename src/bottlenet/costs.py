@@ -79,7 +79,6 @@ class CostReport:
 def _cost_row(r: LayerRecord) -> CostRow:
     """MAdds and stored parameters of one layer, from its shapes alone."""
     h, w = r.in_shape[:2]
-    oh, ow = r.out_shape[:2]
     k2 = r.kernel * r.kernel
     if r.kind == "conv":
         madds = madds_standard_conv(h, w, r.in_channels, r.out_channels, r.kernel, r.stride)
@@ -90,11 +89,11 @@ def _cost_row(r: LayerRecord) -> CostRow:
         return CostRow(r.name, r.out_shape, 0, 0, 0)
     inner = r.inner
     # Depthwise plus projection, then the expansion conv when the block has one.
-    madds = oh * ow * (k2 * inner + inner * r.out_channels)
+    madds = madds_depthwise_separable(h, w, inner, r.out_channels, r.kernel, r.stride)
     params = k2 * inner + inner + inner * r.out_channels + r.out_channels
     bias = inner + r.out_channels
     if r.expand:
-        madds += h * w * r.in_channels * inner
+        madds += madds_standard_conv(h, w, r.in_channels, inner, 1)
         params += r.in_channels * inner + inner
         bias += inner
     return CostRow(r.name, r.out_shape, madds, params, bias)

@@ -208,11 +208,6 @@ def _phase_start(first: int, stride: int) -> tuple[int, int]:
     return r, r * stride + first
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    """Elementwise max(x, 0); the unclamped rectifier used by the theory lab."""
-    return np.maximum(x, np.float32(0.0))
-
-
 def relu6(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Elementwise min(max(x, 0), 6), the low-precision-friendly clamp.
 

@@ -1,13 +1,17 @@
 """Network builder: stem conv, 17 bottleneck blocks in 7 stages, 1x1 head,
 global average pool, linear classifier.
 
-The default stage table is the MobileNetV2 layout.  Each stage row is
+The architecture is fixed: the MobileNetV2 stage table, a 32-channel
+stem and a 1280-channel head, stated once as module constants that
+``layer_walk`` turns into the layer sequence.  Each stage row is
 (expansion t, output channels c, repeats n, first stride s); layers 2..n
 of a stage use stride 1 with equal input/output widths, so they carry
-shortcuts.  Two knobs trade cost for accuracy: the input resolution and a
-width multiplier applied to every channel count, with the published
-convention that the head keeps its full 1280 channels for multipliers
-below one.
+shortcuts.  A block whose expanded width equals its input width (the
+ratio-1 first block) has no expansion conv.  Two knobs trade cost for
+accuracy: the input resolution and a width multiplier applied to every
+channel count, with the published convention that the head keeps its
+full 1280 channels for multipliers below one.  A built block stores no
+widths of its own; its stage parameters hold them.
 
 Channel counts are rounded to the nearest multiple of eight with a floor
 of eight, bumped up one step whenever rounding would lose more than 10%
@@ -17,7 +21,7 @@ of the requested width.  This matches the released model family.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, NamedTuple, Union
+from typing import Callable, ClassVar, Iterator, NamedTuple, Union
 
 import numpy as np
 
@@ -39,17 +43,9 @@ class StageSpec:
     repeats: int
     stride: int
 
-    def __post_init__(self):
-        if self.repeats < 1:
-            raise InvalidShapeError(f"stage repeats must be >= 1, got {self.repeats}")
-        if self.stride not in (1, 2):
-            raise InvalidShapeError(f"stage stride must be 1 or 2, got {self.stride}")
-        if self.channels < 1 or self.expansion < 1:
-            raise InvalidShapeError("stage channels and expansion must be >= 1")
 
-
-#              t   c    n  s
-DEFAULT_STAGES = (
+#      t   c    n  s
+STAGES = (
     StageSpec(1, 16, 1, 1),
     StageSpec(6, 24, 2, 2),
     StageSpec(6, 32, 3, 2),
@@ -58,6 +54,8 @@ DEFAULT_STAGES = (
     StageSpec(6, 160, 3, 2),
     StageSpec(6, 320, 1, 1),
 )
+STEM_CHANNELS = 32
+HEAD_CHANNELS = 1280
 
 MIN_RESOLUTION = 96
 MAX_RESOLUTION = 224
@@ -87,11 +85,8 @@ class ModelSpec:
     resolution: int = 224
     width_multiplier: float = 1.0
     classes: int = 1000
-    stem_channels: int = 32
-    head_channels: int = 1280
-    stages: tuple[StageSpec, ...] = DEFAULT_STAGES
-    # Drop the square 1x1 expansion conv of ratio-1 blocks (released topology).
-    fuse_single_expansion: bool = True
+    # Not a field: the stage table is fixed, readable from any spec.
+    stages: ClassVar[tuple[StageSpec, ...]] = STAGES
 
     def __post_init__(self):
         if not MIN_RESOLUTION <= self.resolution <= MAX_RESOLUTION:
@@ -110,20 +105,17 @@ class ModelSpec:
             )
         if self.classes < 1:
             raise InvalidShapeError(f"classes must be >= 1, got {self.classes}")
-        scaled = [scale_channels(st.channels, self.width_multiplier) for st in self.stages]
-        if any(b < a for a, b in zip(scaled, scaled[1:])):
-            raise InvalidShapeError("stage channel progression must be non-decreasing")
 
     @property
     def scaled_stem_channels(self) -> int:
-        return scale_channels(self.stem_channels, self.width_multiplier)
+        return scale_channels(STEM_CHANNELS, self.width_multiplier)
 
     @property
     def scaled_head_channels(self) -> int:
         # The very last conv layer is exempt from multipliers below one.
         if self.width_multiplier < 1.0:
-            return self.head_channels
-        return scale_channels(self.head_channels, self.width_multiplier)
+            return HEAD_CHANNELS
+        return scale_channels(HEAD_CHANNELS, self.width_multiplier)
 
 
 @dataclass
@@ -213,9 +205,6 @@ class Model:
     def parameter_schema(self) -> list[tuple[str, tuple[int, ...]]]:
         return [(name, tuple(arr.shape)) for name, arr in self.parameters()]
 
-    def parameter_count(self) -> int:
-        return sum(arr.size for _, arr in self.parameters())
-
     def set_parameters(self, values: dict[str, np.ndarray]) -> None:
         """Overwrite every parameter array in place; keys must cover the schema."""
         for name, arr in self.parameters():
@@ -268,17 +257,12 @@ def make_bottleneck(
     out_channels: int,
     expansion: float,
     stride: int,
-    fuse_single_expansion: bool = True,
 ) -> BottleneckParams:
-    """Zero-initialized block parameters with the standard stage layout."""
+    """Zero-initialized block parameters with the standard stage layout; no
+    expansion conv when the expanded width equals the input width."""
     inner = expanded_width(in_channels, expansion)
-    fused = fuse_single_expansion and inner == in_channels
     return BottleneckParams(
-        in_channels=in_channels,
-        out_channels=out_channels,
-        expansion=expansion,
-        stride=stride,
-        expand=None if fused else _zero_conv(1, 1, in_channels, inner),
+        expand=None if inner == in_channels else _zero_conv(1, 1, in_channels, inner),
         depthwise=_zero_depthwise(3, stride, inner),
         project=_zero_conv(1, 1, inner, out_channels),
     )
@@ -308,7 +292,7 @@ def layer_walk(spec: ModelSpec) -> Iterator[LayerRecord]:
     def layer(name, kind, kernel, stride, cout, expansion=1, activation="relu6"):
         nonlocal res, cur
         inner = expanded_width(cur, expansion) if kind == "block" else cout
-        expand = kind == "block" and not (spec.fuse_single_expansion and inner == cur)
+        expand = kind == "block" and inner != cur
         out = -(-res // stride)
         record = LayerRecord(name, kind, (res, res, cur), (out, out, cout), kernel,
                              stride, cur, cout, expansion, inner, expand, activation)
@@ -317,7 +301,7 @@ def layer_walk(spec: ModelSpec) -> Iterator[LayerRecord]:
 
     yield layer("stem", "conv", 3, 2, spec.scaled_stem_channels)
     index = 0
-    for stage in spec.stages:
+    for stage in STAGES:
         cout = scale_channels(stage.channels, spec.width_multiplier)
         for rep in range(stage.repeats):
             index += 1
@@ -338,9 +322,7 @@ def build_model(spec: ModelSpec) -> Model:
             params = _zero_conv(r.kernel, r.stride, r.in_channels, r.out_channels)
             model.layers.append(ConvLayer(r.name, params, r.activation))
         elif r.kind == "block":
-            # The walk decides whether the expansion conv exists.
-            params = make_bottleneck(r.in_channels, r.out_channels, r.expansion,
-                                     r.stride, fuse_single_expansion=not r.expand)
+            params = make_bottleneck(r.in_channels, r.out_channels, r.expansion, r.stride)
             model.layers.append(BottleneckLayer(r.name, params))
         else:
             model.layers.append(PoolLayer(r.name))

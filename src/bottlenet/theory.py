@@ -33,6 +33,9 @@ from .model import BottleneckLayer, ConvLayer, Model
 from .tensor import Rng
 
 RANK_RTOL = 1e-8
+# Trials drawn per Monte Carlo batch; the draws for a seed depend on it.
+MC_CHUNK = 8192
+SPIRAL_TURNS = 3.0
 
 
 def relu_interior_identity_check(points: np.ndarray) -> bool:
@@ -99,7 +102,7 @@ def relu_preserved_fraction(n: int, m: int) -> float:
 
 
 def relu_preserved_fraction_mc(
-    n: int, m: int, trials: int, seed: int, chunk: int = 8192
+    n: int, m: int, trials: int, seed: int
 ) -> float:
     """Monte Carlo estimate of ``relu_preserved_fraction``.
 
@@ -116,7 +119,7 @@ def relu_preserved_fraction_mc(
     preserved = 0
     done = 0
     while done < trials:
-        count = min(chunk, trials - done)
+        count = min(MC_CHUNK, trials - done)
         B = rng.normal((count, m, n), dtype=np.float64)
         x = rng.uniform((count, n), dtype=np.float64)
         z = np.einsum("tmn,tn->tm", B, x)
@@ -125,10 +128,11 @@ def relu_preserved_fraction_mc(
     return preserved / trials
 
 
-def make_spiral(points: int = 1000, turns: float = 3.0) -> np.ndarray:
-    """Planar spiral with linearly growing radius, (points, 2) float64."""
-    theta = np.linspace(0.0, 2.0 * np.pi * turns, points)
-    radius = theta / (2.0 * np.pi * turns)
+def make_spiral(points: int = 1000) -> np.ndarray:
+    """Planar spiral of ``SPIRAL_TURNS`` turns with linearly growing radius,
+    (points, 2) float64."""
+    theta = np.linspace(0.0, 2.0 * np.pi * SPIRAL_TURNS, points)
+    radius = theta / (2.0 * np.pi * SPIRAL_TURNS)
     return np.stack([radius * np.cos(theta), radius * np.sin(theta)], axis=1)
 
 
@@ -156,14 +160,14 @@ def spiral_roundtrip_error(
 
 
 def spiral_experiment(
-    dims: list[int], seed: int, points: int = 1000, turns: float = 3.0
+    dims: list[int], seed: int, points: int = 1000
 ) -> dict[int, float]:
     """Reconstruction error per embedding dimension, one Gaussian matrix each.
 
     The matrix for dimension n is derived from (seed, n), so results for a
     given n do not depend on which other dimensions were requested.
     """
-    spiral = make_spiral(points=points, turns=turns)
+    spiral = make_spiral(points=points)
     errors: dict[int, float] = {}
     for n in dims:
         if n < 2:
@@ -186,14 +190,6 @@ class LayerActivation:
     @property
     def mean_fraction(self) -> float:
         return self.mean_count / self.channels
-
-    @property
-    def min_fraction(self) -> float:
-        return self.min_count / self.channels
-
-    @property
-    def max_fraction(self) -> float:
-        return self.max_count / self.channels
 
 
 @dataclass

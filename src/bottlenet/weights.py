@@ -12,6 +12,7 @@ model state, so a failed load never leaves a half-mutated model.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -69,7 +70,8 @@ def unpack_container(raw: bytes) -> list[tuple[str, np.ndarray]]:
         if name in seen:
             raise WeightFormatError(f"duplicate tensor name {name!r}")
         seen.add(name)
-    total = sum(int(np.prod(shape, dtype=np.int64)) for _, shape in manifest)
+    # Python ints: a fixed-width product could wrap and match a short payload.
+    total = sum(math.prod(shape) for _, shape in manifest)
     payload = raw[offset:]
     if len(payload) != 4 * total:
         raise WeightPayloadError(
@@ -78,7 +80,7 @@ def unpack_container(raw: bytes) -> list[tuple[str, np.ndarray]]:
     entries = []
     pos = 0
     for name, shape in manifest:
-        n = int(np.prod(shape, dtype=np.int64))
+        n = math.prod(shape)
         arr = np.frombuffer(payload, dtype="<f4", count=n, offset=4 * pos)
         entries.append((name, arr.reshape(shape).astype(np.float32, copy=True)))
         pos += n

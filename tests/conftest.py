@@ -14,6 +14,7 @@ near-zero outputs regardless of implementation quality.
 from __future__ import annotations
 
 import contextlib
+import struct
 import types
 
 import numpy as np
@@ -494,6 +495,12 @@ def seed_schedule_steps(g: ComputeGraph, order: tuple[str, ...]) -> list[tuple[s
                    if produced_at[t] <= k <= last_use[t])
         steps.append((name, live, g.ops[g.op_index[name]].workspace))
     return steps
+
+
+# A one-entry weight container with dims 65536**4 = 2**64 elements and no
+# payload: an int64 element count wraps to 0 and would match the empty payload.
+WRAPPING_CONTAINER = (b"BWGT" + struct.pack("<IH", 1, 1) + b"x"
+                      + struct.pack("<B4I", 4, *[65536] * 4))
 
 
 @pytest.fixture(scope="session")

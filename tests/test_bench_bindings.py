@@ -4,6 +4,7 @@
 ``getattr``/``setattr`` on the module that binds them, so a name a module
 no longer calls (``memplan``'s kernel imports, ``blocks.add_residual``)
 must still be importable there, or ``perfbench/run.py --trace 1`` fails.
+``perfbench/adapters.py`` tags each block by walking ``spec.stages``.
 """
 
 import importlib
@@ -34,6 +35,13 @@ def tracing(repo_root):
         yield importlib.import_module("tracing")
 
 
+@pytest.fixture(scope="module")
+def adapters(repo_root):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(repo_root / "perfbench"))
+        yield importlib.import_module("adapters")
+
+
 def test_kernel_bindings_resolve_to_the_kernels(tracing):
     for module, names in tracing.KERNEL_BINDINGS.items():
         for name in names:
@@ -44,3 +52,12 @@ def test_kernel_bindings_resolve_to_the_kernels(tracing):
 @pytest.mark.parametrize("owner,name", TRACED, ids=lambda v: getattr(v, "__name__", v))
 def test_traced_names_resolve(owner, name):
     assert callable(getattr(owner, name))
+
+
+def test_adapter_tags_every_stage(adapters):
+    infer = object.__new__(adapters.Infer)
+    infer.spec = model.ModelSpec(resolution=96, width_multiplier=0.35)
+    infer.net = model.build_model(infer.spec)
+    tags = list(infer.layer_tags().values())
+    assert [tags.count(f"stage{i}") for i in range(1, 8)] == [1, 2, 3, 4, 3, 3, 1]
+    assert {"stem", "head", "classifier"} <= set(tags)

@@ -37,10 +37,6 @@ class TestStructure:
         assert p.expand is None
         assert p.expanded_channels == 32
 
-    def test_unfused_when_disabled(self):
-        p = make_bottleneck(32, 16, 1, 1, fuse_single_expansion=False)
-        assert p.expand is not None
-
     def test_expanded_width_rounding(self):
         assert expanded_width(64, 6) == 384
         assert expanded_width(10, 1.25) == 12  # round(12.5) banker's -> 12
@@ -51,12 +47,7 @@ class TestStructure:
         bad_dwise = type(bad_dwise)(3, 1, 40, np.zeros((3, 3, 40), np.float32),
                                     np.zeros(40, np.float32))
         with pytest.raises(InvalidShapeError):
-            BottleneckParams(8, 8, 6, 1, p.expand, bad_dwise, p.project)
-
-    def test_missing_expand_rejected_for_real_expansion(self):
-        p = make_bottleneck(8, 8, 6, 1)
-        with pytest.raises(InvalidShapeError):
-            BottleneckParams(8, 8, 6, 1, None, p.depthwise, p.project)
+            BottleneckParams(p.expand, bad_dwise, p.project)
 
 
 class TestForward:

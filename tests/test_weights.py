@@ -11,6 +11,8 @@ from bottlenet.model import ModelSpec, build_model
 from bottlenet.tensor import Rng, random_gaussian
 from bottlenet.weights import load_weights, pack_container, save_weights, unpack_container
 
+from conftest import WRAPPING_CONTAINER
+
 SMALL = ModelSpec(resolution=96, width_multiplier=0.35, classes=10)
 
 
@@ -40,6 +42,10 @@ class TestContainerFormat:
                               ("x", np.zeros(2, np.float32))])
         with pytest.raises(WeightFormatError):
             unpack_container(raw)
+
+    def test_element_count_does_not_wrap(self):
+        with pytest.raises(WeightPayloadError):
+            unpack_container(WRAPPING_CONTAINER)
 
     def test_truncated_manifest_rejected(self):
         raw = pack_container([("some.tensor", np.zeros(5, np.float32))])
