@@ -2,19 +2,22 @@
 
 All operators are pure functions over (b, h, w, c) float32 tensors and are
 deterministic: every result is a fixed sequence of float32 numpy ufunc
-passes or a single matmul, so repeated evaluation on identical inputs is
-bit-identical.
+passes, one plain (unoptimized) ``einsum`` or a single matmul, so repeated
+evaluation on identical inputs is bit-identical.
 
 Depthwise convolution copies its input once into zero-extended
 stride-phase planes: plane (py, px) holds padded rows py, py+s, ... and
 columns px, px+s, ..., so every kernel tap reads one contiguous slice of
-one flattened plane.  Each slice is multiplied by the tap's weights tiled
-across the plane width into a reused scratch buffer and added in place,
-so the inner loops run over whole rows however few channels there are.
-The taps run one band of output rows at a time, the band sized so its
-accumulator slice and product buffer stay in L2 cache across all k*k
-taps; every output element sees the same operations in the same order.
-The extra columns this computes are dropped when the bias is added.
+one flattened plane, against the tap's weights tiled across the plane
+width.  Stride-1 calls with at least two channels reduce all k*k taps in
+one ``einsum`` over a window view of the plane whose innermost axis is a
+whole padded row: numpy zero-fills its output and adds each tap's product
+in (ky, kx) order, as a tap loop does.  Stride-2 and one-channel calls
+multiply each slice into a reused buffer and add it in place, one band of
+output rows at a time, the band sized to stay in L2 cache across all k*k
+taps.  At one channel a pixel step equals an element step, and einsum
+then sums a row's kx taps in a register first, which changes the bytes.
+The extra columns either path computes are dropped when the bias is added.
 The 3x3 dense convolution (the stem) builds its im2col columns with one
 copy of a strided window view over the padded input, in (ky, kx, c) order.
 Elementwise epilogues that follow a freshly produced tensor (the bias add
@@ -183,19 +186,28 @@ def depthwise_conv(x: np.ndarray, p: DepthwiseParams) -> np.ndarray:
     taps = np.empty((k, k, wq, c), dtype=np.float32)
     taps[...] = p.weights.reshape(k, k, 1, c)
     taps = taps.reshape(k, k, row)
-    acc = np.zeros((b, oh, row), dtype=np.float32)
-    band = max(1, min(oh, _BAND_BYTES // (b * row * acc.itemsize)))
-    prod = np.empty((b, band, row), dtype=np.float32)
-    for y in range(0, oh, band):
-        a = acc[:, y : y + band]
-        pr = prod[:, : a.shape[1]]
-        for ky in range(k):
-            for kx in range(k):
-                start = ((ky // s + y) * wq + kx // s) * c
-                tap = flat[ky % s, kx % s, :, start : start + a.shape[1] * row]
-                np.multiply(tap.reshape(a.shape), taps[ky, kx], out=pr)
-                a += pr
-    del planes, flat, tap, prod, pr, a  # scratch goes before the output
+    if s == 1 and c > 1:
+        # Window (ky, kx, image, output row, row element) over the plane:
+        # tap (ky, kx) of output row y is padded row ky + y shifted kx pixels.
+        e = flat.itemsize
+        win = np.lib.stride_tricks.as_strided(
+            flat, (k, k, b, oh, row), (row * e, c * e, rows * row * e, row * e, e))
+        acc = np.einsum("ijbyn,ijn->byn", win, taps)
+    else:
+        acc = np.zeros((b, oh, row), dtype=np.float32)
+        band = max(1, min(oh, _BAND_BYTES // (b * row * acc.itemsize)))
+        prod = np.empty((b, band, row), dtype=np.float32)
+        for y in range(0, oh, band):
+            a = acc[:, y : y + band]
+            pr = prod[:, : a.shape[1]]
+            for ky in range(k):
+                for kx in range(k):
+                    start = ((ky // s + y) * wq + kx // s) * c
+                    win = flat[ky % s, kx % s, :, start : start + a.shape[1] * row]
+                    np.multiply(win.reshape(a.shape), taps[ky, kx], out=pr)
+                    a += pr
+        del prod, pr, a
+    del planes, flat, win  # scratch goes before the output
     out = np.empty((b, oh, ow, c), dtype=np.float32)
     np.add(acc[:, :, : ow * c], np.tile(p.bias, ow), out=out.reshape(b, oh, ow * c))
     return out

@@ -190,6 +190,8 @@ class TestDepthwise:
                                                 zeros, seed, band_rows):
         # Shrink the band so these small maps run 1, 2 or 3 output rows at
         # a time: an accumulator row is (ow + (k-1)//s) * c floats per image.
+        # Only stride-2 and one-channel calls run bands; the rest of these
+        # draws take the row-window einsum and must match all the same.
         xs, p = sliced_depthwise_case(b, h, w, c, kernel, stride, lo, hi, zeros, seed)
         row_bytes = b * (-(-w // stride) + (kernel - 1) // stride) * c * 4
         with pytest.MonkeyPatch.context() as mp:
@@ -203,6 +205,8 @@ class TestDepthwise:
         ((1, 56, 56, 144), 1, 0, 0),
         ((8, 48, 48, 16), 1, 0, 0),
         ((1, 112, 112, 12), 1, 12, 72),  # a channel group, as in a cascade
+        ((8, 112, 112, 1), 1, 3, 12),  # one channel: the band loop at stride 1
+        ((3, 112, 112, 2), 1, 2, 14),  # two channels: the row-window einsum
     ])
     def test_bytes_match_seed_loop_default_bands(self, shape, stride, lo, hi):
         b, h, w, c = shape
@@ -210,6 +214,28 @@ class TestDepthwise:
         assert b * -(-h // stride) * (-(-w // stride) + 2 // stride) * c * 4 > kernels._BAND_BYTES
         xs, p = sliced_depthwise_case(b, h, w, c, 3, stride, lo, hi, True, sum(shape))
         assert depthwise_conv(xs, p).tobytes() == seed_depthwise(xs, p).tobytes()
+
+    @pytest.mark.parametrize("b", [1, 2])
+    @pytest.mark.parametrize("c", [2, 3, 8])
+    def test_einsum_adds_row_window_taps_in_order(self, b, c):
+        # The stride-1 kernel's bytes rest on numpy's einsum zero-filling its
+        # output and adding each tap's float32 product in (ky, kx) order while
+        # the row axis runs innermost.  An einsum that fuses the multiply-add
+        # or sums the taps in registers first fails here, not in the kernel.
+        k, oh, wq = 3, 7, 10
+        rows, row = oh + k, wq * c
+        rng = Rng(40 + 10 * b + c)
+        plane = rng.normal((b, rows * row), stddev=3.0)
+        plane[:, ::5] = -0.0
+        taps = rng.normal((k, k, row))
+        e = plane.itemsize
+        win = np.lib.stride_tricks.as_strided(
+            plane, (k, k, b, oh, row), (row * e, c * e, rows * row * e, row * e, e))
+        want = np.zeros((b, oh, row), dtype=np.float32)
+        for ky in range(k):
+            for kx in range(k):
+                want += win[ky, kx] * taps[ky, kx]
+        assert np.einsum("ijbyn,ijn->byn", win, taps).tobytes() == want.tobytes()
 
 
 class TestActivations:
