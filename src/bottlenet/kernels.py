@@ -5,19 +5,16 @@ deterministic: every result is a fixed sequence of float32 numpy ufunc
 passes, one plain (unoptimized) ``einsum`` or a single matmul, so repeated
 evaluation on identical inputs is bit-identical.
 
-Depthwise convolution copies its input once into zero-extended
-stride-phase planes: plane (py, px) holds padded rows py, py+s, ... and
-columns px, px+s, ..., so every kernel tap reads one contiguous slice of
-one flattened plane, against the tap's weights tiled across the plane
-width.  Stride-1 calls with at least two channels reduce all k*k taps in
-one ``einsum`` over a window view of the plane whose innermost axis is a
-whole padded row: numpy zero-fills its output and adds each tap's product
-in (ky, kx) order, as a tap loop does.  Stride-2 and one-channel calls
-multiply each slice into a reused buffer and add it in place, one band of
-output rows at a time, the band sized to stay in L2 cache across all k*k
-taps.  At one channel a pixel step equals an element step, and einsum
-then sums a row's kx taps in a register first, which changes the bytes.
-The extra columns either path computes are dropped when the bias is added.
+Depthwise convolution copies its input once into a zero-padded plane
+and sums all k*k taps with one plain ``einsum`` over a window view of it:
+output rows sit s padded rows apart, and each row's innermost axis is a
+run of ow*s stride-1 pixels, so tap (ky, kx) reads the run shifted ky
+rows and kx pixels.  numpy zero-fills the output and adds each tap's
+product in (ky, kx) order, as a tap loop does.  Every s-th pixel of the
+run is an output pixel; the rest are dropped when the bias is added.  A
+one-channel input gets a zero second channel: at one channel a pixel
+step equals an element step, and einsum then sums a row's kx taps in a
+register first, which changes the bytes.
 The 3x3 dense convolution (the stem) builds its im2col columns with one
 copy of a strided window view over the padded input, in (ky, kx, c) order.
 Elementwise epilogues that follow a freshly produced tensor (the bias add
@@ -43,10 +40,6 @@ import numpy as np
 
 from .errors import ChannelMismatchError, InvalidShapeError, ShapeMismatchError
 from .tensor import assert_activation
-
-# Depthwise accumulator bytes per band of output rows: 1/8 of a 2 MiB L2.
-_BAND_BYTES = 256 * 1024
-
 
 @dataclass
 class Conv2dParams:
@@ -162,62 +155,26 @@ def depthwise_conv(x: np.ndarray, p: DepthwiseParams) -> np.ndarray:
             f"depthwise_conv expects {p.channels} channels, got {c}"
         )
     k, s = p.kernel, p.stride
-    oh, pt, _ = same_pad_amounts(h, k, s)
+    oh, pt, pb = same_pad_amounts(h, k, s)
     ow, pl, _ = same_pad_amounts(w, k, s)
-    # Plane (py, px)[r, j] is padded element (r*s + py, j*s + px).  Tap
-    # (ky, kx) reads rows ky//s .. ky//s + oh - 1 and columns kx//s ..
-    # kx//s + ow - 1 of plane (ky%s, kx%s); the plane is q = (k-1)//s
-    # columns wider than the output, plus one spare row so the flattened
-    # slice of the last tap stays in bounds.
-    q = (k - 1) // s
-    wq = ow + q
-    rows = oh + q + 1
-    phases = min(s, k)
-    planes = np.zeros((phases, phases, b, rows, wq, c), dtype=np.float32)
-    for py in range(phases):
-        r0, y0 = _phase_start(py - pt, s)
-        for px in range(phases):
-            j0, x0 = _phase_start(px - pl, s)
-            src = x[:, y0::s, x0::s, :][:, : rows - r0, : wq - j0, :]
-            planes[py, px, :, r0 : r0 + src.shape[1], j0 : j0 + src.shape[2], :] = src
-    flat = planes.reshape(phases, phases, b, rows * wq * c)
-    # Output rows in (b, oh, wq*c) layout; columns ow..wq are discarded.
-    row = wq * c
-    taps = np.empty((k, k, wq, c), dtype=np.float32)
-    taps[...] = p.weights.reshape(k, k, 1, c)
-    taps = taps.reshape(k, k, row)
-    if s == 1 and c > 1:
-        # Window (ky, kx, image, output row, row element) over the plane:
-        # tap (ky, kx) of output row y is padded row ky + y shifted kx pixels.
-        e = flat.itemsize
-        win = np.lib.stride_tricks.as_strided(
-            flat, (k, k, b, oh, row), (row * e, c * e, rows * row * e, row * e, e))
-        acc = np.einsum("ijbyn,ijn->byn", win, taps)
-    else:
-        acc = np.zeros((b, oh, row), dtype=np.float32)
-        band = max(1, min(oh, _BAND_BYTES // (b * row * acc.itemsize)))
-        prod = np.empty((b, band, row), dtype=np.float32)
-        for y in range(0, oh, band):
-            a = acc[:, y : y + band]
-            pr = prod[:, : a.shape[1]]
-            for ky in range(k):
-                for kx in range(k):
-                    start = ((ky // s + y) * wq + kx // s) * c
-                    win = flat[ky % s, kx % s, :, start : start + a.shape[1] * row]
-                    np.multiply(win.reshape(a.shape), taps[ky, kx], out=pr)
-                    a += pr
-        del prod, pr, a
-    del planes, flat, win  # scratch goes before the output
+    # One channel gets a zero second channel: see the module docstring.
+    cw = max(c, 2)
+    plane = np.zeros((b, h + pt + pb, ow * s + k - 1, cw), dtype=np.float32)
+    plane[:, pt : pt + h, pl : pl + w, :c] = x
+    # Window (ky, kx, image, output row, run element): tap (ky, kx) of
+    # output row y is padded row y*s + ky shifted kx pixels, over a run of
+    # ow*s stride-1 pixels of which every s-th is an output pixel.
+    run = ow * s * cw
+    sb, sy, sx, e = plane.strides
+    win = np.lib.stride_tricks.as_strided(plane, (k, k, b, oh, run), (sy, sx, sb, s * sy, e))
+    taps = np.zeros((k, k, ow * s, cw), dtype=np.float32)
+    taps[..., :c] = p.weights.reshape(k, k, 1, c)
+    acc = np.einsum("ijbyn,ijn->byn", win, taps.reshape(k, k, run))
+    del plane, win  # scratch goes before the output
     out = np.empty((b, oh, ow, c), dtype=np.float32)
-    np.add(acc[:, :, : ow * c], np.tile(p.bias, ow), out=out.reshape(b, oh, ow * c))
+    bias = np.tile(p.bias, ow).reshape(ow, c)
+    np.add(acc.reshape(b, oh, ow, s * cw)[..., :c], bias, out=out)
     return out
-
-
-def _phase_start(first: int, stride: int) -> tuple[int, int]:
-    """(plane index, input index) of the first in-bounds element of a phase
-    whose plane index 0 sits at input index ``first`` (negative in the pad)."""
-    r = max(-(first // stride), 0)  # ceil(-first / stride), at least 0
-    return r, r * stride + first
 
 
 def relu6(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -19,6 +19,7 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from bottlenet.blocks import BottleneckParams, expanded_width
 from bottlenet.errors import ChannelMismatchError, InvalidShapeError
@@ -501,6 +502,29 @@ def seed_schedule_steps(g: ComputeGraph, order: tuple[str, ...]) -> list[tuple[s
 # payload: an int64 element count wraps to 0 and would match the empty payload.
 WRAPPING_CONTAINER = (b"BWGT" + struct.pack("<IH", 1, 1) + b"x"
                       + struct.pack("<B4I", 4, *[65536] * 4))
+
+
+def corruptions(size: int, head: int):
+    """(flips, cut) for a file of ``size`` bytes: up to four (offset, xor
+    mask) byte flips, drawn from the first ``head`` bytes or from anywhere,
+    and an optional truncation length; at least one of the two is drawn."""
+    at = st.one_of(st.integers(0, head - 1), st.integers(0, size - 1))
+    flips = st.lists(st.tuples(at, st.integers(1, 255)), max_size=4)
+    cut = st.none() | st.integers(0, size - 1)
+    return st.tuples(flips, cut).filter(lambda fc: fc[0] or fc[1] is not None)
+
+
+def corrupt(raw: bytes, flips, cut) -> bytes:
+    data = bytearray(raw)
+    for at, mask in flips:
+        data[at] ^= mask
+    return bytes(data[:cut])
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A directory for fuzzed files; module-scoped, as Hypothesis requires."""
+    return tmp_path_factory.mktemp("fuzz")
 
 
 @pytest.fixture(scope="session")

@@ -179,63 +179,52 @@ class TestDepthwise:
         xs, p = sliced_depthwise_case(b, h, w, c, kernel, stride, lo, hi, zeros, seed)
         assert depthwise_conv(xs, p).tobytes() == seed_depthwise(xs, p).tobytes()
 
-    @settings(max_examples=200, deadline=None)
-    @given(
-        b=st.integers(1, 3), h=st.integers(1, 12), w=st.integers(1, 12),
-        c=st.integers(1, 9), kernel=st.sampled_from([1, 3]), stride=st.sampled_from([1, 2]),
-        lo=st.integers(0, 3), hi=st.integers(0, 3), zeros=st.booleans(),
-        seed=st.integers(0, 2**32 - 1), band_rows=st.sampled_from([1, 2, 3]),
-    )
-    def test_bytes_match_seed_loop_across_bands(self, b, h, w, c, kernel, stride, lo, hi,
-                                                zeros, seed, band_rows):
-        # Shrink the band so these small maps run 1, 2 or 3 output rows at
-        # a time: an accumulator row is (ow + (k-1)//s) * c floats per image.
-        # Only stride-2 and one-channel calls run bands; the rest of these
-        # draws take the row-window einsum and must match all the same.
-        xs, p = sliced_depthwise_case(b, h, w, c, kernel, stride, lo, hi, zeros, seed)
-        row_bytes = b * (-(-w // stride) + (kernel - 1) // stride) * c * 4
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(kernels, "_BAND_BYTES", band_rows * row_bytes)
-            got = depthwise_conv(xs, p)
-        assert got.tobytes() == seed_depthwise(xs, p).tobytes()
-
     @pytest.mark.parametrize("shape,stride,lo,hi", [
         ((1, 112, 112, 32), 1, 0, 0),
         ((1, 112, 112, 96), 2, 0, 0),
         ((1, 56, 56, 144), 1, 0, 0),
         ((8, 48, 48, 16), 1, 0, 0),
         ((1, 112, 112, 12), 1, 12, 72),  # a channel group, as in a cascade
-        ((8, 112, 112, 1), 1, 3, 12),  # one channel: the band loop at stride 1
-        ((3, 112, 112, 2), 1, 2, 14),  # two channels: the row-window einsum
+        ((8, 112, 112, 1), 1, 3, 12),  # one channel: widened with a zero channel
+        ((3, 112, 112, 2), 1, 2, 14),  # two channels: no widening
+        ((1, 112, 112, 12), 2, 12, 72),  # a split-8 group of block02
+        ((8, 48, 48, 48), 2, 0, 0),  # block02 at alpha 0.35, 96 px, batch 8
+        ((8, 48, 48, 1), 2, 5, 10),  # one channel at stride 2
     ])
-    def test_bytes_match_seed_loop_default_bands(self, shape, stride, lo, hi):
+    def test_bytes_match_seed_loop_model_shapes(self, shape, stride, lo, hi):
         b, h, w, c = shape
-        # These accumulators span several bands of the default size.
-        assert b * -(-h // stride) * (-(-w // stride) + 2 // stride) * c * 4 > kernels._BAND_BYTES
         xs, p = sliced_depthwise_case(b, h, w, c, 3, stride, lo, hi, True, sum(shape))
         assert depthwise_conv(xs, p).tobytes() == seed_depthwise(xs, p).tobytes()
 
     @pytest.mark.parametrize("b", [1, 2])
-    @pytest.mark.parametrize("c", [2, 3, 8])
+    @pytest.mark.parametrize("c", [1, 2, 3, 8])
     def test_einsum_adds_row_window_taps_in_order(self, b, c):
-        # The stride-1 kernel's bytes rest on numpy's einsum zero-filling its
-        # output and adding each tap's float32 product in (ky, kx) order while
-        # the row axis runs innermost.  An einsum that fuses the multiply-add
-        # or sums the taps in registers first fails here, not in the kernel.
-        k, oh, wq = 3, 7, 10
-        rows, row = oh + k, wq * c
-        rng = Rng(40 + 10 * b + c)
-        plane = rng.normal((b, rows * row), stddev=3.0)
-        plane[:, ::5] = -0.0
-        taps = rng.normal((k, k, row))
-        e = plane.itemsize
-        win = np.lib.stride_tricks.as_strided(
-            plane, (k, k, b, oh, row), (row * e, c * e, rows * row * e, row * e, e))
-        want = np.zeros((b, oh, row), dtype=np.float32)
-        for ky in range(k):
-            for kx in range(k):
-                want += win[ky, kx] * taps[ky, kx]
-        assert np.einsum("ijbyn,ijn->byn", win, taps).tobytes() == want.tobytes()
+        # The kernel's bytes rest on numpy's einsum zero-filling its output
+        # and adding each tap's float32 product in (ky, kx) order while the
+        # run axis runs innermost.  The window is the kernel's: output rows
+        # s padded rows apart over a run of ow*s pixels, and one channel
+        # widened with a zero second channel.  An einsum that fuses the
+        # multiply-add or sums the taps in registers first fails here, not
+        # in the kernel.
+        k, oh, ow, cw = 3, 7, 8, max(c, 2)
+        for s in (1, 2):
+            rows, cols, run = (oh - 1) * s + k, ow * s + k - 1, ow * s * cw
+            rng = Rng(40 + 10 * b + c + 100 * s)
+            plane = np.zeros((b, rows, cols, cw), dtype=np.float32)
+            plane[..., :c] = rng.normal((b, rows, cols, c), stddev=3.0)
+            plane[:, ::5, ::3, :c] = -0.0
+            taps = np.zeros((k, k, ow * s, cw), dtype=np.float32)
+            taps[..., :c] = rng.normal((k, k, 1, c))
+            taps = taps.reshape(k, k, run)
+            sb, sy, sx, e = plane.strides
+            win = np.lib.stride_tricks.as_strided(
+                plane, (k, k, b, oh, run), (sy, sx, sb, s * sy, e))
+            want = np.zeros((b, oh, run), dtype=np.float32)
+            for ky in range(k):
+                for kx in range(k):
+                    want += win[ky, kx] * taps[ky, kx]
+            got = np.einsum("ijbyn,ijn->byn", win, taps)
+            assert got.tobytes() == want.tobytes(), f"stride {s}"
 
 
 class TestActivations:

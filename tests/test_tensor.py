@@ -14,6 +14,8 @@ from bottlenet.tensor import (
     save_tensor,
 )
 
+from conftest import corrupt, corruptions
+
 
 class TestNewTensor:
     def test_zero_fill(self):
@@ -162,3 +164,22 @@ class TestSerialization:
         path.write_bytes(bytes(raw))
         with pytest.raises(TensorFormatError):
             load_tensor(path)
+
+
+SAVED_TENSOR = np.float32(-1.5) * np.arange(2 * 5 * 4 * 3, dtype=np.float32).reshape(2, 5, 4, 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(corruption=corruptions(24 + 4 * SAVED_TENSOR.size, 24))
+def test_corrupt_tensor_file_raises_typed_error(fuzz_dir, corruption):
+    # Byte flips, half of them aimed at the 24-byte header, and truncations
+    # of a saved tensor: a load either returns a valid activation tensor
+    # or raises TensorFormatError, never another exception.
+    path = fuzz_dir / "t.bten"
+    save_tensor(path, SAVED_TENSOR)
+    path.write_bytes(corrupt(path.read_bytes(), *corruption))
+    try:
+        x = load_tensor(path)
+    except TensorFormatError:
+        return
+    assert x.dtype == np.float32 and x.ndim == 4 and min(x.shape) >= 1

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from bottlenet.errors import (
     WeightFormatError,
@@ -11,13 +12,17 @@ from bottlenet.model import ModelSpec, build_model
 from bottlenet.tensor import Rng, random_gaussian
 from bottlenet.weights import load_weights, pack_container, save_weights, unpack_container
 
-from conftest import WRAPPING_CONTAINER
+from conftest import WRAPPING_CONTAINER, corrupt, corruptions
 
 SMALL = ModelSpec(resolution=96, width_multiplier=0.35, classes=10)
 
 
 def small_model(seed=1):
     return build_model(SMALL).randomize(Rng(seed))
+
+
+SAVED = pack_container(list(small_model().parameters()))
+MANIFEST_BYTES = len(SAVED) - 4 * sum(a.size for _, a in build_model(SMALL).parameters())
 
 
 class TestContainerFormat:
@@ -102,3 +107,23 @@ class TestSaveLoad:
         path.write_bytes(pack_container(entries))
         with pytest.raises(WeightNameError):
             load_weights(build_model(SMALL), path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(corruption=corruptions(len(SAVED), MANIFEST_BYTES))
+def test_corrupt_container_raises_typed_error_and_leaves_model(fuzz_dir, corruption):
+    # Byte flips, half of them aimed at the manifest, and truncations of a
+    # saved container: a load either succeeds with exactly the file's
+    # tensors, or raises a WeightFormatError and changes no parameter byte.
+    raw = corrupt(SAVED, *corruption)
+    path = fuzz_dir / "w.bwgt"
+    path.write_bytes(raw)
+    target = build_model(SMALL)  # zero parameters: any write shows
+    before = [a.tobytes() for _, a in target.parameters()]
+    try:
+        load_weights(target, path)
+    except WeightFormatError:
+        assert [a.tobytes() for _, a in target.parameters()] == before
+    else:
+        assert [a.tobytes() for _, a in target.parameters()] == [
+            a.tobytes() for _, a in unpack_container(raw)]
