@@ -94,15 +94,12 @@ def _group_stages(p: BottleneckParams, start: int, stop: int):
     """(expand, depthwise, project) of expanded channels start..stop, as
     views of the block's weights.  The projection bias is zero: the block
     adds its own bias once, after the group sum."""
-    width = stop - start
     expand = None
     if p.expand is not None:
-        expand = Conv2dParams(1, 1, p.in_channels, width,
-                              p.expand.weights[:, :, :, start:stop], p.expand.bias[start:stop])
-    depthwise = DepthwiseParams(p.depthwise.kernel, p.stride, width,
-                                p.depthwise.weights[:, :, start:stop],
+        expand = Conv2dParams(1, p.expand.weights[..., start:stop], p.expand.bias[start:stop])
+    depthwise = DepthwiseParams(p.stride, p.depthwise.weights[..., start:stop],
                                 p.depthwise.bias[start:stop])
-    project = Conv2dParams(1, 1, width, p.out_channels, p.project.weights[:, :, start:stop, :],
+    project = Conv2dParams(1, p.project.weights[:, :, start:stop],
                            np.zeros(p.out_channels, dtype=np.float32))
     return expand, depthwise, project
 

@@ -42,6 +42,7 @@ def _usage(msg: str):
 def _model_spec(args):
     """The ``ModelSpec`` of the --alpha/--res/--classes flags, once they pass."""
     from .model import (
+        MAX_CLASSES,
         MAX_RESOLUTION,
         MAX_WIDTH_MULTIPLIER,
         MIN_RESOLUTION,
@@ -60,8 +61,8 @@ def _model_spec(args):
             f"--res must be a multiple of 32 in [{MIN_RESOLUTION}, {MAX_RESOLUTION}], "
             f"got {res}"
         )
-    if classes < 1:
-        raise _usage(f"--classes must be >= 1, got {classes}")
+    if not 1 <= classes <= MAX_CLASSES:
+        raise _usage(f"--classes must be in [1, {MAX_CLASSES}], got {classes}")
     return ModelSpec(resolution=res, width_multiplier=alpha, classes=classes)
 
 
@@ -192,6 +193,7 @@ def _load_or_random_model(spec, args):
 def cmd_infer(args) -> int:
     import numpy as np
 
+    from .errors import TensorFormatError
     from .memplan import CascadePlan, cascade_execute
     from .tensor import Rng, load_tensor, random_gaussian, save_tensor
 
@@ -207,6 +209,8 @@ def cmd_infer(args) -> int:
     model = _load_or_random_model(spec, args)
     if args.input is not None:
         x = load_tensor(args.input)
+        if not np.isfinite(x).all():
+            raise TensorFormatError(f"{args.input}: input holds a non-finite value")
         if x.shape[1:] != model.input_shape:
             raise _usage(
                 f"input tensor shape {x.shape[1:]} does not match --res {args.res}"

@@ -22,7 +22,8 @@ class ChannelMismatchError(BottlenetError):
 
 
 class TensorFormatError(BottlenetError):
-    """A serialized tensor file is malformed."""
+    """A serialized tensor file is malformed, or an input tensor holds a
+    NaN or infinite value."""
 
 
 class WeightFormatError(BottlenetError):
@@ -38,7 +39,8 @@ class WeightShapeError(WeightFormatError):
 
 
 class WeightPayloadError(WeightFormatError):
-    """Container payload length disagrees with the manifest."""
+    """Container payload length disagrees with the manifest, or a payload
+    value is NaN or infinite."""
 
 
 class GraphError(BottlenetError):

@@ -5,6 +5,9 @@ deterministic: every result is a fixed sequence of float32 numpy ufunc
 passes, one plain (unoptimized) ``einsum`` or a single matmul, so repeated
 evaluation on identical inputs is bit-identical.
 
+A convolution stage is its stride, weights and bias; its kernel size and
+channel widths are read from the weights' shape.
+
 Depthwise convolution copies its input once into a zero-padded plane
 and sums all k*k taps with one plain ``einsum`` over a window view of it:
 output rows sit s padded rows apart, and each row's innermost axis is a
@@ -41,65 +44,61 @@ import numpy as np
 from .errors import ChannelMismatchError, InvalidShapeError, ShapeMismatchError
 from .tensor import assert_activation
 
+
 @dataclass
-class Conv2dParams:
+class _StageParams:
+    """Stride, weights (k, k, ..., width) and bias (width,) of a convolution
+    stage; the weights' shape is the only record of the kernel and widths.
+    A subclass sets the weights' ``rank``."""
+
+    stride: int
+    weights: np.ndarray
+    bias: np.ndarray
+
+    def __post_init__(self):
+        self.weights = np.asarray(self.weights, dtype=np.float32)
+        self.bias = np.asarray(self.bias, dtype=np.float32)
+        shape = self.weights.shape
+        if (len(shape) != self.rank or shape[0] != shape[1] or shape[0] not in (1, 3)
+                or self.stride not in (1, 2) or self.bias.shape != shape[-1:]):
+            raise InvalidShapeError(
+                f"{type(self).__name__} needs rank-{self.rank} weights with a square 1x1 "
+                f"or 3x3 kernel, stride 1 or 2 and one bias per last-axis channel; got "
+                f"weights {shape}, stride {self.stride}, bias {self.bias.shape}"
+            )
+
+    @property
+    def kernel(self) -> int:
+        return self.weights.shape[0]
+
+
+class Conv2dParams(_StageParams):
     """Dense convolution: weights (k, k, d_in, d_out), per-output-channel bias.
 
     Any normalization is assumed pre-folded: the folded scale lives inside
     the weights, so the bias vector is the only extra per-channel term.
     """
 
-    kernel: int
-    stride: int
-    in_channels: int
-    out_channels: int
-    weights: np.ndarray
-    bias: np.ndarray
+    rank = 4
 
-    def __post_init__(self):
-        if self.kernel not in (1, 3):
-            raise InvalidShapeError(f"conv kernel must be 1 or 3, got {self.kernel}")
-        if self.stride not in (1, 2):
-            raise InvalidShapeError(f"conv stride must be 1 or 2, got {self.stride}")
-        expect = (self.kernel, self.kernel, self.in_channels, self.out_channels)
-        if tuple(self.weights.shape) != expect:
-            raise InvalidShapeError(
-                f"conv weights must have shape {expect}, got {self.weights.shape}"
-            )
-        if self.bias.shape != (self.out_channels,):
-            raise InvalidShapeError(
-                f"conv bias must have shape ({self.out_channels},), got {self.bias.shape}"
-            )
-        self.weights = np.asarray(self.weights, dtype=np.float32)
-        self.bias = np.asarray(self.bias, dtype=np.float32)
+    @property
+    def in_channels(self) -> int:
+        return self.weights.shape[2]
+
+    @property
+    def out_channels(self) -> int:
+        return self.weights.shape[3]
 
 
-@dataclass
-class DepthwiseParams:
-    """Depthwise convolution: one (k, k) filter per channel, no channel mixing."""
+class DepthwiseParams(_StageParams):
+    """Depthwise convolution: weights (k, k, c), one filter per channel, no
+    channel mixing."""
 
-    kernel: int
-    stride: int
-    channels: int
-    weights: np.ndarray
-    bias: np.ndarray
+    rank = 3
 
-    def __post_init__(self):
-        if self.kernel not in (1, 3):
-            raise InvalidShapeError(f"depthwise kernel must be 1 or 3, got {self.kernel}")
-        if self.stride not in (1, 2):
-            raise InvalidShapeError(f"depthwise stride must be 1 or 2, got {self.stride}")
-        expect = (self.kernel, self.kernel, self.channels)
-        if tuple(self.weights.shape) != expect:
-            raise InvalidShapeError(
-                f"depthwise weights must have shape {expect}, got {self.weights.shape}"
-            )
-        if self.bias.shape != (self.channels,):
-            raise InvalidShapeError(
-                f"depthwise bias must have shape ({self.channels},), got {self.bias.shape}"
-            )
-        self.weights = np.asarray(self.weights, dtype=np.float32)
-        self.bias = np.asarray(self.bias, dtype=np.float32)
+    @property
+    def channels(self) -> int:
+        return self.weights.shape[2]
 
 
 def same_pad_amounts(size: int, kernel: int, stride: int) -> tuple[int, int, int]:

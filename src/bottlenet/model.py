@@ -10,8 +10,9 @@ shortcuts.  A block whose expanded width equals its input width (the
 ratio-1 first block) has no expansion conv.  Two knobs trade cost for
 accuracy: the input resolution and a width multiplier applied to every
 channel count, with the published convention that the head keeps its
-full 1280 channels for multipliers below one.  A built block stores no
-widths of its own; its stage parameters hold them.
+full 1280 channels for multipliers below one.  A built layer stores no
+widths of its own: each stage's weights hold its kernel and widths in
+their shape, and a block reads its widths from its stages.
 
 Channel counts are rounded to the nearest multiple of eight with a floor
 of eight, bumped up one step whenever rounding would lose more than 10%
@@ -61,6 +62,8 @@ MIN_RESOLUTION = 96
 MAX_RESOLUTION = 224
 MIN_WIDTH_MULTIPLIER = 0.35
 MAX_WIDTH_MULTIPLIER = 1.4
+# Keeps the classifier's float32 weights under half a gigabyte at width 1.4.
+MAX_CLASSES = 2**16
 
 
 def scale_channels(channels: int, multiplier: float) -> int:
@@ -103,8 +106,8 @@ class ModelSpec:
                 f"width multiplier must be in [{MIN_WIDTH_MULTIPLIER}, "
                 f"{MAX_WIDTH_MULTIPLIER}], got {self.width_multiplier}"
             )
-        if self.classes < 1:
-            raise InvalidShapeError(f"classes must be >= 1, got {self.classes}")
+        if not 1 <= self.classes <= MAX_CLASSES:
+            raise InvalidShapeError(f"classes must be in [1, {MAX_CLASSES}], got {self.classes}")
 
     @property
     def scaled_stem_channels(self) -> int:
@@ -231,25 +234,9 @@ class Model:
         return self
 
 
-def _zero_conv(kernel: int, stride: int, cin: int, cout: int) -> Conv2dParams:
-    return Conv2dParams(
-        kernel=kernel,
-        stride=stride,
-        in_channels=cin,
-        out_channels=cout,
-        weights=np.zeros((kernel, kernel, cin, cout), dtype=np.float32),
-        bias=np.zeros(cout, dtype=np.float32),
-    )
-
-
-def _zero_depthwise(kernel: int, stride: int, channels: int) -> DepthwiseParams:
-    return DepthwiseParams(
-        kernel=kernel,
-        stride=stride,
-        channels=channels,
-        weights=np.zeros((kernel, kernel, channels), dtype=np.float32),
-        bias=np.zeros(channels, dtype=np.float32),
-    )
+def _zero_stage(cls, stride: int, shape: tuple[int, ...]):
+    """A ``Conv2dParams`` or ``DepthwiseParams`` with zero weights of ``shape``."""
+    return cls(stride, np.zeros(shape, np.float32), np.zeros(shape[-1], np.float32))
 
 
 def make_bottleneck(
@@ -262,9 +249,10 @@ def make_bottleneck(
     expansion conv when the expanded width equals the input width."""
     inner = expanded_width(in_channels, expansion)
     return BottleneckParams(
-        expand=None if inner == in_channels else _zero_conv(1, 1, in_channels, inner),
-        depthwise=_zero_depthwise(3, stride, inner),
-        project=_zero_conv(1, 1, inner, out_channels),
+        expand=None if inner == in_channels else _zero_stage(
+            Conv2dParams, 1, (1, 1, in_channels, inner)),
+        depthwise=_zero_stage(DepthwiseParams, stride, (3, 3, inner)),
+        project=_zero_stage(Conv2dParams, 1, (1, 1, inner, out_channels)),
     )
 
 
@@ -319,7 +307,8 @@ def build_model(spec: ModelSpec) -> Model:
     model = Model(spec=spec)
     for r in layer_walk(spec):
         if r.kind == "conv":
-            params = _zero_conv(r.kernel, r.stride, r.in_channels, r.out_channels)
+            shape = (r.kernel, r.kernel, r.in_channels, r.out_channels)
+            params = _zero_stage(Conv2dParams, r.stride, shape)
             model.layers.append(ConvLayer(r.name, params, r.activation))
         elif r.kind == "block":
             params = make_bottleneck(r.in_channels, r.out_channels, r.expansion, r.stride)

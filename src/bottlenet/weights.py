@@ -5,9 +5,10 @@ then per entry a u16 name length, the UTF-8 name bytes, a u8 rank and
 rank u32 dims.  After the manifest comes the payload: the concatenated
 float32 data of every entry in manifest order.
 
-Loading validates the manifest against the model's parameter schema
-(names and shapes, in order) and the payload length before touching any
-model state, so a failed load never leaves a half-mutated model.
+Unpacking rejects a payload of the wrong length or with a non-finite
+value.  Loading validates the manifest against the model's parameter
+schema (names and shapes, in order) before touching any model state, so
+a failed load never leaves a half-mutated model.
 """
 
 from __future__ import annotations
@@ -82,6 +83,8 @@ def unpack_container(raw: bytes) -> list[tuple[str, np.ndarray]]:
     for name, shape in manifest:
         n = math.prod(shape)
         arr = np.frombuffer(payload, dtype="<f4", count=n, offset=4 * pos)
+        if not np.isfinite(arr).all():
+            raise WeightPayloadError(f"tensor {name!r} holds a non-finite value")
         entries.append((name, arr.reshape(shape).astype(np.float32, copy=True)))
         pos += n
     return entries

@@ -167,11 +167,9 @@ def seed_cascade_execute(
     ow = -(-w // p.stride)
     acc = np.zeros((b, oh, ow, p.out_channels), dtype=np.float32)
     for start, stop in plan.groups:
-        width = stop - start
         if p.expand is not None:
             sub = Conv2dParams(
-                kernel=1, stride=1,
-                in_channels=p.in_channels, out_channels=width,
+                stride=1,
                 weights=p.expand.weights[:, :, :, start:stop],
                 bias=p.expand.bias[start:stop],
             )
@@ -180,14 +178,14 @@ def seed_cascade_execute(
         else:
             g = x[:, :, :, start:stop]
         sub_dw = DepthwiseParams(
-            kernel=p.depthwise.kernel, stride=p.stride, channels=width,
+            stride=p.stride,
             weights=p.depthwise.weights[:, :, start:stop],
             bias=p.depthwise.bias[start:stop],
         )
         g = depthwise_conv(g, sub_dw)
         g = relu6(g, out=g)
         sub_proj = Conv2dParams(
-            kernel=1, stride=1, in_channels=width, out_channels=p.out_channels,
+            stride=1,
             weights=p.project.weights[:, :, start:stop, :],
             bias=np.zeros(p.out_channels, dtype=np.float32),
         )
@@ -322,7 +320,7 @@ def naive_param_count(alpha: float, norm_values: int = 1,
 def positive_conv(rng: Rng, kernel: int, stride: int, cin: int, cout: int,
                   scale: float = 0.1) -> Conv2dParams:
     return Conv2dParams(
-        kernel=kernel, stride=stride, in_channels=cin, out_channels=cout,
+        stride=stride,
         weights=rng.uniform((kernel, kernel, cin, cout), 0.0, scale),
         bias=rng.uniform((cout,), 0.0, scale),
     )
@@ -331,7 +329,7 @@ def positive_conv(rng: Rng, kernel: int, stride: int, cin: int, cout: int,
 def positive_depthwise(rng: Rng, kernel: int, stride: int, channels: int,
                        scale: float = 0.1) -> DepthwiseParams:
     return DepthwiseParams(
-        kernel=kernel, stride=stride, channels=channels,
+        stride=stride,
         weights=rng.uniform((kernel, kernel, channels), 0.0, scale),
         bias=rng.uniform((channels,), 0.0, scale),
     )

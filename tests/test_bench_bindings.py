@@ -12,6 +12,7 @@ import importlib
 import pytest
 
 from bottlenet import blocks, costs, kernels, memplan, model, weights
+from bottlenet.tensor import Rng, random_gaussian
 
 MODULES = {"blocks": blocks, "costs": costs, "memplan": memplan,
            "model": model, "weights": weights}
@@ -61,3 +62,37 @@ def test_adapter_tags_every_stage(adapters):
     tags = list(infer.layer_tags().values())
     assert [tags.count(f"stage{i}") for i in range(1, 8)] == [1, 2, 3, 4, 3, 3, 1]
     assert {"stem", "head", "classifier"} <= set(tags)
+
+
+@pytest.mark.parametrize("split", [None, 8])
+def test_traced_kernel_madds_equal_model_cost(tracing, split):
+    # The traced run's gate, in tier-1: one seeded forward's MAdds summed
+    # through tracing.KERNELS at every binding it patches equal model_cost.
+    spec = model.ModelSpec(resolution=96, width_multiplier=0.35)
+    net = model.build_model(spec).randomize(Rng(3))
+    x = random_gaussian((2, 96, 96, 3), Rng(4))
+    total = 0
+
+    def counted(fn, cost):
+        def call(*args, **kwargs):
+            nonlocal total
+            total += cost(*args)[0]
+            return fn(*args, **kwargs)
+        return call
+
+    runner = None
+    if split is not None:
+        def runner(t, p):
+            plan = memplan.CascadePlan.from_split(p.expanded_channels,
+                                                  min(split, p.expanded_channels))
+            return memplan.cascade_execute(t, p, plan)[0]
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module, names in tracing.KERNEL_BINDINGS.items():
+            for name in names:
+                mp.setattr(MODULES[module], name,
+                           counted(getattr(kernels, name), tracing.KERNELS[name]))
+        net.forward(x, block_runner=runner)
+    assert total == costs.model_cost(spec).total_madds * 2
+    for module, names in tracing.KERNEL_BINDINGS.items():
+        assert all(getattr(MODULES[module], n) is getattr(kernels, n) for n in names)

@@ -43,9 +43,8 @@ class TestStructure:
 
     def test_stage_disagreement_rejected(self):
         p = make_bottleneck(8, 8, 6, 1)
-        bad_dwise = p.depthwise
-        bad_dwise = type(bad_dwise)(3, 1, 40, np.zeros((3, 3, 40), np.float32),
-                                    np.zeros(40, np.float32))
+        bad_dwise = type(p.depthwise)(1, np.zeros((3, 3, 40), np.float32),
+                                      np.zeros(40, np.float32))
         with pytest.raises(InvalidShapeError):
             BottleneckParams(p.expand, bad_dwise, p.project)
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,8 @@ import tracemalloc
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bottlenet import cli
 from bottlenet.model import ModelSpec, build_model
@@ -40,6 +44,14 @@ def run_subprocess(args, env_extra=None):
 def validate(payload, schema_name, repo_root):
     schema = json.loads((repo_root / "schemas" / schema_name).read_text())
     jsonschema.validate(payload, schema)
+
+
+def non_finite_weights(path):
+    """A container for the SMALL model whose stem.weight[0, 0, 0, 0] is NaN."""
+    model = build_model(ModelSpec(resolution=96, width_multiplier=0.35, classes=10))
+    model.randomize(Rng(1)).layers[0].params.weights[0, 0, 0, 0] = np.nan
+    save_weights(model, path)
+    return str(path)
 
 
 # Each case runs in csv, json and table; tests/golden/<case>.<format> holds
@@ -91,6 +103,14 @@ class TestSummarize:
         code, out, err = run_cli(["summarize", "--alpha", "0", "--res", "224"], capsys)
         assert code == 2
         assert "--alpha" in err
+
+    @pytest.mark.parametrize("classes", ["0", "65537", "9" * 4300],
+                             ids=["zero", "above-max", "4300-digits"])
+    def test_classes_out_of_range_exit_2(self, capsys, classes):
+        # A 4300-digit class count used to crash the table renderer.
+        code, out, err = run_cli(["summarize", "--classes", classes], capsys)
+        assert (code, out) == (2, "")
+        assert "--classes" in err and "Traceback" not in err
 
     def test_bad_resolution_exit_2(self, capsys):
         code, _, err = run_cli(["summarize", "--res", "100"], capsys)
@@ -215,6 +235,32 @@ class TestInfer:
              "--out", str(tmp_path / "l.bten")], capsys)
         assert code == 3
 
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_non_finite_weights_exit_3(self, capsys, tmp_path, fmt):
+        # A NaN weight is a data fault; it used to exit 4 under json and
+        # print a meaningless top-5 with exit 0 under table.
+        out_path = tmp_path / "l.bten"
+        code, out, err = run_cli(
+            ["infer", *SMALL, "--weights", non_finite_weights(tmp_path / "w.bwgt"),
+             "--random-input", "--out", str(out_path), "--format", fmt], capsys)
+        assert (code, out) == (3, "")
+        assert "stem.weight" in err and "Traceback" not in err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_exit_3(self, capsys, tmp_path, value):
+        x = random_gaussian((1, 96, 96, 3), Rng(0))
+        x[0, 5, 7, 1] = value
+        path = tmp_path / "in.bten"
+        save_tensor(path, x)
+        out_path = tmp_path / "l.bten"
+        code, out, err = run_cli(
+            ["infer", *SMALL, "--random-weights", "--input", str(path),
+             "--out", str(out_path)], capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not out_path.exists()
+
     def test_weights_file_round_trip(self, capsys, tmp_path):
         spec = ModelSpec(resolution=96, width_multiplier=0.35, classes=10)
         model = build_model(spec).randomize(Rng(1))
@@ -331,6 +377,13 @@ class TestTheoryCommands:
         validate(payload, "theory_activations.schema.json", repo_root)
         assert all(0.3 < l["mean_fraction"] < 0.7 for l in payload["layers"])
 
+    def test_activations_non_finite_weights_exit_3(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            ["theory", "activations", *SMALL, "--batch", "1", "--weights",
+             non_finite_weights(tmp_path / "w.bwgt"), "--format", "json"], capsys)
+        assert (code, out) == (3, "")
+        assert "stem.weight" in err and "Traceback" not in err
+
 
 class TestHarness:
     def test_unknown_command_exit_2(self, capsys):
@@ -384,3 +437,87 @@ class TestHarness:
     def test_bad_thread_env_exit_2(self, value):
         r = run_subprocess(["summarize", *SMALL], env_extra={"BTN_THREADS": value})
         assert r.returncode == 2
+
+
+def argv_chars(exclude=""):
+    """Characters a real argv can carry: no NUL, and no surrogate except
+    U+DC80..U+DCFF, which stand for bytes that are not UTF-8."""
+    return (st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00" + exclude)
+            | st.characters(min_codepoint=0xDC80, max_codepoint=0xDCFF))
+
+
+# Flag values a hostile command line can carry.
+HOSTILE = st.sampled_from([
+    "nan", "-nan", "inf", "-inf", "1e309", "-1e309", "-0", "0", "-1", "", " ",
+    "1_0", "0x10", "\u0663", "\u00b2", "\u0669\u0666", "\uff19\uff16", "\udcff",
+    "9" * 30, "-" + "9" * 30, "9" * 400, "9" * 4300, "9" * 4301,
+]) | st.text(argv_chars(), max_size=6)
+
+
+def _within(text: str, cap: int) -> bool:
+    """False when a comma-separated part of ``text`` parses as an int above cap."""
+    for part in text.split(","):
+        try:
+            if int(part) > cap:
+                return False
+        except ValueError:
+            pass
+    return True
+
+
+def capped(cap: int):
+    """A value for a flag that sets work or memory: any string but an int above cap."""
+    return st.integers(-2, cap).map(str) | HOSTILE.filter(lambda s: _within(s, cap))
+
+
+def argv(dump_dir):
+    """A subcommand and its flags, each flag absent, plausible or hostile."""
+    def flags(required, optional):
+        return st.fixed_dictionaries(required, optional=optional).map(
+            lambda d: [x for kv in d.items() for x in kv])
+
+    model = {
+        "--alpha": st.sampled_from(["0.35", "0.5", "1.0", "1.4"]) | HOSTILE,
+        "--res": st.sampled_from(["96", "160", "224"]) | HOSTILE,
+        "--classes": st.sampled_from(["1", "10", "1000", "65536"]) | HOSTILE,
+    }
+    fmt = {"--format": st.sampled_from(cli.FORMATS) | HOSTILE}
+    name = st.text(argv_chars("/"), max_size=8)
+    commands = {
+        "summarize": flags({}, {**model, **fmt}),
+        "memory-plan": flags({}, {
+            **model, **fmt,
+            "--split": st.sampled_from(["1", "5", "8"]) | HOSTILE,
+            "--act-bits": st.sampled_from(["16", "32"]) | HOSTILE,
+            "--dump-graph": name.filter(lambda n: n not in (".", "..")).map(
+                lambda n: str(dump_dir / n)),
+        }),
+        "theory collapse": flags({"--trials": capped(1000)}, {
+            **fmt, "--n": st.sampled_from(["1", "2", "4"]) | HOSTILE, "--m": capped(64),
+            "--seed": st.sampled_from(["0", "3"]) | HOSTILE,
+        }),
+        "theory spiral": flags({"--points": capped(200)}, {
+            **fmt, "--dims": st.lists(capped(64), max_size=4).map(",".join) | capped(64),
+            "--seed": st.sampled_from(["0", "9"]) | HOSTILE,
+        }),
+    }
+    return st.sampled_from(sorted(commands)).flatmap(
+        lambda c: commands[c].map(lambda tail: [*c.split(), *tail]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_argv_fuzz_keeps_the_cli_contract(fuzz_dir, repo_root, data):
+    # Any argv: exit 0, 2, 3 or 4, no traceback, nothing on stdout unless
+    # the command succeeded, and --format json output valid by its schema.
+    args = data.draw(argv(fuzz_dir))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(args)
+    assert code in (0, 2, 3, 4), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code != 0:
+        assert out.getvalue() == ""
+    elif "--format" in args and args[args.index("--format") + 1] == "json":
+        payload = json.loads(out.getvalue())
+        validate(payload, payload["command"].replace("-", "_") + ".schema.json", repo_root)

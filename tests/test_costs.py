@@ -103,7 +103,7 @@ class TestInstrumented:
         from bottlenet.kernels import Conv2dParams
 
         rng = Rng(1)
-        p = Conv2dParams(1, 1, 6, 9, rng.normal((1, 1, 6, 9)), rng.normal((9,)))
+        p = Conv2dParams(1, rng.normal((1, 1, 6, 9)), rng.normal((9,)))
         x = random_gaussian((1, 11, 13, 6), rng)
         with executed_madds() as madds:
             kernels.conv2d(x, p)

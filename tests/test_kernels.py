@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bottlenet import kernels
-from bottlenet.errors import ChannelMismatchError, ShapeMismatchError
+from bottlenet.errors import ChannelMismatchError, InvalidShapeError, ShapeMismatchError
 from bottlenet.kernels import (
     Conv2dParams,
     DepthwiseParams,
@@ -30,7 +32,36 @@ from conftest import (
 
 def identity_conv_1x1(channels: int) -> Conv2dParams:
     w = np.eye(channels, dtype=np.float32).reshape(1, 1, channels, channels)
-    return Conv2dParams(1, 1, channels, channels, w, np.zeros(channels, np.float32))
+    return Conv2dParams(1, w, np.zeros(channels, np.float32))
+
+
+class TestStageParams:
+    VALID = {Conv2dParams: (3, 3, 5, 7), DepthwiseParams: (1, 1, 6)}
+    # Each case breaks one rule of a valid stage of weights shape s:
+    # (weights shape, stride, bias length).
+    MALFORMED = {
+        "wrong-rank": lambda s: (s + (2,), 1, 2),
+        "non-square": lambda s: ((3, 1) + s[2:], 1, s[-1]),
+        "kernel-2": lambda s: ((2, 2) + s[2:], 1, s[-1]),
+        "stride-3": lambda s: (s, 3, s[-1]),
+        "bias-length": lambda s: (s, 1, s[-1] + 1),
+    }
+
+    @pytest.mark.parametrize("cls", VALID, ids=lambda c: c.__name__)
+    def test_kernel_and_widths_are_the_weights_shape(self, cls):
+        shape = self.VALID[cls]
+        p = cls(2, np.zeros(shape), np.zeros(shape[-1]))
+        assert [f.name for f in dataclasses.fields(p)] == ["stride", "weights", "bias"]
+        assert p.weights.dtype == p.bias.dtype == np.float32
+        widths = (p.in_channels, p.out_channels) if cls is Conv2dParams else (p.channels,)
+        assert (p.kernel, p.kernel, *widths) == shape
+
+    @pytest.mark.parametrize("case", MALFORMED)
+    @pytest.mark.parametrize("cls", VALID, ids=lambda c: c.__name__)
+    def test_malformed_stage_rejected(self, cls, case):
+        shape, stride, bias = self.MALFORMED[case](self.VALID[cls])
+        with pytest.raises(InvalidShapeError):
+            cls(stride, np.zeros(shape, np.float32), np.zeros(bias, np.float32))
 
 
 class TestConv2d:
@@ -43,8 +74,7 @@ class TestConv2d:
         # 3x3 all-ones kernel on a 3x3 all-ones single-channel image: each
         # output counts the in-bounds taps.
         x = new_tensor((1, 3, 3, 1), 1.0)
-        p = Conv2dParams(3, 1, 1, 1, np.ones((3, 3, 1, 1), np.float32),
-                         np.zeros(1, np.float32))
+        p = Conv2dParams(1, np.ones((3, 3, 1, 1), np.float32), np.zeros(1, np.float32))
         y = conv2d(x, p)[0, :, :, 0]
         expected = np.array([[4, 6, 4], [6, 9, 6], [4, 6, 4]], dtype=np.float32)
         assert np.array_equal(y, expected)
@@ -64,7 +94,7 @@ class TestConv2d:
     def test_repeated_evaluation_bit_identical(self):
         rng = Rng(9)
         x = random_gaussian((1, 8, 8, 5), rng)
-        p = Conv2dParams(3, 2, 5, 7, rng.normal((3, 3, 5, 7)), rng.normal((7,)))
+        p = Conv2dParams(2, rng.normal((3, 3, 5, 7)), rng.normal((7,)))
         assert conv2d(x, p).tobytes() == conv2d(x, p).tobytes()
 
     def test_madds_charged_exactly(self):
@@ -96,7 +126,7 @@ def sliced_input(rng, b, h, w, c, lo, hi, zeros):
 def test_stem_conv_bytes_match_seed_im2col(b, h, w, cin, cout, stride, lo, hi, zeros, seed):
     rng = Rng(seed)
     xs = sliced_input(rng, b, h, w, cin, lo, hi, zeros)
-    p = Conv2dParams(3, stride, cin, cout, rng.normal((3, 3, cin, cout)), rng.normal((cout,)))
+    p = Conv2dParams(stride, rng.normal((3, 3, cin, cout)), rng.normal((cout,)))
     assert conv2d(xs, p).tobytes() == seed_conv2d(xs, p).tobytes()
 
 
@@ -132,7 +162,7 @@ def sliced_depthwise_case(b, h, w, c, kernel, stride, lo, hi, zeros, seed):
     xs = sliced_input(rng, b, h, w, c, lo, hi, zeros)
     wide = lo + c + hi
     weights = rng.normal((kernel, kernel, wide))
-    p = DepthwiseParams(kernel, stride, c, weights[..., lo : lo + c],
+    p = DepthwiseParams(stride, weights[..., lo : lo + c],
                         rng.normal((wide,))[lo : lo + c])
     assert np.shares_memory(p.weights, weights)
     return xs, p
@@ -143,13 +173,13 @@ class TestDepthwise:
         x = random_gaussian((2, 6, 6, 3), Rng(2))
         w = np.zeros((3, 3, 3), np.float32)
         w[1, 1, :] = 1.0
-        p = DepthwiseParams(3, 1, 3, w, np.zeros(3, np.float32))
+        p = DepthwiseParams(1, w, np.zeros(3, np.float32))
         assert np.array_equal(depthwise_conv(x, p), x)
 
     def test_channel_isolation_bit_exact(self):
         rng = Rng(3)
         x = random_gaussian((1, 8, 8, 4), rng)
-        p = DepthwiseParams(3, 1, 4, rng.normal((3, 3, 4)), rng.normal((4,)))
+        p = DepthwiseParams(1, rng.normal((3, 3, 4)), rng.normal((4,)))
         base = depthwise_conv(x, p)
         perturbed = x.copy()
         perturbed[:, :, :, 0] += 1.0

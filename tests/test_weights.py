@@ -99,6 +99,18 @@ class TestSaveLoad:
         for n, a in target.parameters():
             assert np.array_equal(a, before[n]), f"{n} was mutated by a failed load"
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload_rejected_before_any_write(self, tmp_path, value):
+        entries = list(small_model().parameters())
+        name, arr = entries[-3]
+        arr[(0,) * arr.ndim] = value
+        path = tmp_path / "w.bwgt"
+        path.write_bytes(pack_container(entries))
+        target = build_model(SMALL)
+        with pytest.raises(WeightPayloadError, match=name):
+            load_weights(target, path)
+        assert not any(a.any() for _, a in target.parameters())
+
     def test_schema_order_is_enforced(self, tmp_path):
         m = small_model()
         entries = list(m.parameters())
@@ -114,7 +126,8 @@ class TestSaveLoad:
 def test_corrupt_container_raises_typed_error_and_leaves_model(fuzz_dir, corruption):
     # Byte flips, half of them aimed at the manifest, and truncations of a
     # saved container: a load either succeeds with exactly the file's
-    # tensors, or raises a WeightFormatError and changes no parameter byte.
+    # tensors, all finite, or raises a WeightFormatError and changes no
+    # parameter byte.
     raw = corrupt(SAVED, *corruption)
     path = fuzz_dir / "w.bwgt"
     path.write_bytes(raw)
@@ -127,3 +140,4 @@ def test_corrupt_container_raises_typed_error_and_leaves_model(fuzz_dir, corrupt
     else:
         assert [a.tobytes() for _, a in target.parameters()] == [
             a.tobytes() for _, a in unpack_container(raw)]
+        assert all(np.isfinite(a).all() for _, a in target.parameters())
