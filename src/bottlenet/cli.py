@@ -19,6 +19,15 @@ import json
 import os
 import sys
 
+# errors.py imports nothing, so loading it here leaves numpy unloaded.
+from .errors import (
+    BottlenetError,
+    InternalError,
+    TensorFormatError,
+    UsageError,
+    WeightFormatError,
+)
+
 FORMATS = ("csv", "json", "table")
 
 
@@ -28,15 +37,9 @@ def _apply_thread_env() -> None:
         return
     # str.isdigit alone accepts non-ASCII digits such as '²' and '٣'.
     if not (value.isascii() and value.isdigit()) or int(value) < 1:
-        raise _usage(f"BTN_THREADS must be a positive integer, got {value!r}")
+        raise UsageError(f"BTN_THREADS must be a positive integer, got {value!r}")
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(var, value)
-
-
-def _usage(msg: str):
-    from .errors import UsageError
-
-    return UsageError(msg)
 
 
 def _model_spec(args):
@@ -52,17 +55,17 @@ def _model_spec(args):
 
     alpha, res, classes = args.alpha, args.res, args.classes
     if not MIN_WIDTH_MULTIPLIER <= alpha <= MAX_WIDTH_MULTIPLIER:
-        raise _usage(
+        raise UsageError(
             f"--alpha must be in [{MIN_WIDTH_MULTIPLIER}, {MAX_WIDTH_MULTIPLIER}], "
             f"got {alpha}"
         )
     if not (MIN_RESOLUTION <= res <= MAX_RESOLUTION and res % 32 == 0):
-        raise _usage(
+        raise UsageError(
             f"--res must be a multiple of 32 in [{MIN_RESOLUTION}, {MAX_RESOLUTION}], "
             f"got {res}"
         )
     if not 1 <= classes <= MAX_CLASSES:
-        raise _usage(f"--classes must be in [1, {MAX_CLASSES}], got {classes}")
+        raise UsageError(f"--classes must be in [1, {MAX_CLASSES}], got {classes}")
     return ModelSpec(resolution=res, width_multiplier=alpha, classes=classes)
 
 
@@ -85,8 +88,6 @@ def _render(fmt: str, payload: dict, header: list[str], rows: list[list[str]],
     ``header`` and ``rows`` comma-separated; ``table`` right-aligns
     ``header`` and ``rows`` in columns under a dashed rule.
     """
-    from .errors import InternalError
-
     if fmt == "json":
         try:
             lines = [json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)]
@@ -130,7 +131,7 @@ def cmd_memory_plan(args) -> int:
 
     spec = _model_spec(args)
     if args.split is not None and args.split < 1:
-        raise _usage(f"--split must be >= 1, got {args.split}")
+        raise UsageError(f"--split must be >= 1, got {args.split}")
     bpa = args.act_bits // 8
     report = memory_table(spec, bytes_per_activation=bpa)
     if args.dump_graph is not None:
@@ -193,26 +194,25 @@ def _load_or_random_model(spec, args):
 def cmd_infer(args) -> int:
     import numpy as np
 
-    from .errors import TensorFormatError
     from .memplan import CascadePlan, cascade_execute
     from .tensor import Rng, load_tensor, random_gaussian, save_tensor
 
     spec = _model_spec(args)
     if args.weights is None and not args.random_weights:
-        raise _usage("provide --weights PATH or --random-weights")
+        raise UsageError("provide --weights PATH or --random-weights")
     if args.input is None and not args.random_input:
-        raise _usage("provide --input PATH or --random-input")
+        raise UsageError("provide --input PATH or --random-input")
     if args.split is not None and args.split < 1:
-        raise _usage(f"--split must be >= 1, got {args.split}")
+        raise UsageError(f"--split must be >= 1, got {args.split}")
     if os.path.isdir(args.out):
-        raise _usage(f"--out must name a file, {args.out!r} is a directory")
+        raise UsageError(f"--out must name a file, {args.out!r} is a directory")
     model = _load_or_random_model(spec, args)
     if args.input is not None:
         x = load_tensor(args.input)
         if not np.isfinite(x).all():
             raise TensorFormatError(f"{args.input}: input holds a non-finite value")
         if x.shape[1:] != model.input_shape:
-            raise _usage(
+            raise UsageError(
                 f"input tensor shape {x.shape[1:]} does not match --res {args.res}"
             )
     else:
@@ -245,9 +245,9 @@ def cmd_theory_collapse(args) -> int:
     from .theory import relu_preserved_fraction, relu_preserved_fraction_mc
 
     if args.n < 1 or args.m < args.n:
-        raise _usage(f"need 1 <= n <= m, got n={args.n}, m={args.m}")
+        raise UsageError(f"need 1 <= n <= m, got n={args.n}, m={args.m}")
     if args.trials < 1:
-        raise _usage(f"--trials must be >= 1, got {args.trials}")
+        raise UsageError(f"--trials must be >= 1, got {args.trials}")
     exact = relu_preserved_fraction(args.n, args.m)
     mc = relu_preserved_fraction_mc(args.n, args.m, args.trials, args.seed)
     payload = {
@@ -272,13 +272,13 @@ def cmd_theory_spiral(args) -> int:
     try:
         dims = [int(d) for d in args.dims.split(",") if d]
     except ValueError:
-        raise _usage(f"--dims must be a comma-separated integer list, got {args.dims!r}")
+        raise UsageError(f"--dims must be a comma-separated integer list, got {args.dims!r}")
     if not dims or any(d < 2 for d in dims):
-        raise _usage(f"--dims entries must be >= 2, got {args.dims!r}")
+        raise UsageError(f"--dims entries must be >= 2, got {args.dims!r}")
     if len(set(dims)) != len(dims):
-        raise _usage(f"--dims entries must be distinct, got {args.dims!r}")
+        raise UsageError(f"--dims entries must be distinct, got {args.dims!r}")
     if args.points < 2:
-        raise _usage(f"--points must be >= 2, got {args.points}")
+        raise UsageError(f"--points must be >= 2, got {args.points}")
     errors = spiral_experiment(dims, args.seed, points=args.points)
     payload = {
         "command": "theory-spiral",
@@ -298,7 +298,7 @@ def cmd_theory_activations(args) -> int:
 
     spec = _model_spec(args)
     if args.batch < 1:
-        raise _usage(f"--batch must be >= 1, got {args.batch}")
+        raise UsageError(f"--batch must be >= 1, got {args.batch}")
     model = _load_or_random_model(spec, args)
     batch = random_gaussian((args.batch, args.res, args.res, 3),
                             Rng(args.input_seed))
@@ -412,14 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    from .errors import (
-        BottlenetError,
-        InternalError,
-        TensorFormatError,
-        UsageError,
-        WeightFormatError,
-    )
-
     try:
         _apply_thread_env()
         parser = build_parser()

@@ -2,25 +2,28 @@
 
 Three related tools live here:
 
-* ``schedule_memory`` evaluates the peak of one execution order of a
-  compute graph: at every step the cost is the sum of all live tensors
-  plus the running op's workspace, and the peak is the max over steps.
-  A tensor is live from the step that produces it (graph inputs from the
-  start) through its last consuming step.
+* One walk evaluates, orders and checks schedules.  It runs the ops in
+  the order a chooser picks among the ready ones and charges each step
+  the live tensors plus the op's outputs and workspace; a tensor is live
+  from the step that produces it (graph inputs from the start) through
+  its last consuming step, and a schedule's peak is its costliest step.
+  ``schedule_memory`` follows a given order, ``greedy_memory_schedule``
+  takes the cheapest step (ties to the lowest op index), and
+  ``unique_topological_order`` and ``linear_bound_memory`` refuse to
+  choose between two ready ops.
 
 * ``min_memory_schedule`` searches all topological orders for the one
   with the smallest peak, by depth-first branch-and-bound with the
   running peak as the bound and a dominance memo on the executed set.
   Exact up to a configurable op-count limit; beyond it the caller should
-  fall back to ``greedy_memory_schedule``, which is clearly labeled
-  non-optimal.  Both searches run on integer tables built per call: an
-  op-set is a bitmask, each op carries its predecessor mask, the bytes
-  its step adds and keeps live, and per input the mask of that tensor's
-  consumers, so the live bytes after a step follow from the executed
-  mask alone and are passed down as an int with nothing to undo.
-  Candidates are tried in ascending op index; the exact search keeps
-  the first order that reaches the smallest peak, and the greedy one
-  breaks equal step costs toward the lower index.
+  fall back to the non-optimal greedy order.  The walk and the search
+  run on integer tables built per call: an op-set is a bitmask, each op
+  carries its predecessor mask, the bytes its step adds and keeps live,
+  and per input the mask of that tensor's consumers, so the live bytes
+  after a step follow from the executed mask alone and are passed down
+  as an int with nothing to undo.  Candidates are tried in ascending op
+  index, and the search keeps the first order that reaches the smallest
+  peak.
 
 * ``CascadePlan`` partitions a bottleneck block's expanded channels into
   groups, and ``cascade_peak_bytes`` bounds the working set of running
@@ -131,16 +134,6 @@ class ComputeGraph:
     def sources(self) -> list[str]:
         return [n for n in self.tensors if n not in self.producer]
 
-    def is_topological(self, order: Iterable[str]) -> bool:
-        pos = {name: k for k, name in enumerate(order)}
-        if len(pos) != len(self.ops) or set(pos) != set(self.op_index):
-            return False
-        for i, op in enumerate(self.ops):
-            for p in self.preds[i]:
-                if pos[self.ops[p].name] >= pos[op.name]:
-                    return False
-        return True
-
     def dump_jsonl(self, fp) -> None:
         for t in self.tensors.values():
             fp.write(json.dumps({"kind": "tensor", "name": t.name, "bytes": t.nbytes}) + "\n")
@@ -208,37 +201,8 @@ class MemoryReport:
         return self.peak_bytes / 1000.0
 
 
-def schedule_memory(g: ComputeGraph, schedule: Schedule | tuple[str, ...]) -> MemoryReport:
-    """Per-step live bytes and their max for one fixed topological order."""
-    order = schedule.order if isinstance(schedule, Schedule) else tuple(schedule)
-    if not g.is_topological(order):
-        raise GraphError("schedule is not a topological order of the graph")
-    pos = {name: k for k, name in enumerate(order)}
-    # A tensor is live from its producing step (sources: step 0) through
-    # its last use; an unconsumed output is live at its own step and an
-    # unused source never.  One delta per start and per end, then a sweep.
-    delta = [0] * (len(order) + 1)
-    for t, node in g.tensors.items():
-        prod = g.producer.get(t)
-        start = 0 if prod is None else pos[g.ops[prod].name]
-        uses = [pos[g.ops[c].name] for c in g.consumers[t]]
-        if prod is not None:
-            uses.append(start)
-        if uses:
-            delta[start] += node.nbytes
-            delta[max(uses) + 1] -= node.nbytes
-    steps: list[StepCost] = []
-    peak = live = 0
-    for k, name in enumerate(order):
-        live += delta[k]
-        workspace = g.ops[g.op_index[name]].workspace
-        steps.append(StepCost(name, live, workspace))
-        peak = max(peak, live + workspace)
-    return MemoryReport(peak_bytes=peak, steps=steps)
-
-
 def _search_tables(g: ComputeGraph):
-    """Integer tables the searches run on, one row per op:
+    """Integer tables the walk and the search run on, one row per op:
     (index, bit, predecessor mask, bytes the step adds (outputs plus
     workspace), bytes its outputs keep live, ((consumer mask, bytes) per
     input)), plus the live bytes before any op runs.
@@ -327,61 +291,87 @@ def min_memory_schedule(g: ComputeGraph, exact_limit: int = 16) -> tuple[Schedul
     return Schedule(order=names, optimal=True), best_peak
 
 
-def greedy_memory_schedule(g: ComputeGraph) -> tuple[Schedule, int]:
-    """Cheapest-next-step heuristic order; peak is an upper bound only.
-
-    Ties between equally cheap steps go to the lowest op index.
-    """
+def _walk(g: ComputeGraph, choose) -> tuple[list[int], list[int]]:
+    """Run ``g``'s ops, each the ready ``_search_tables`` row that
+    ``choose(ready, live bytes)`` picks, until none is ready; return the
+    op indices run and each step's cost (live + outputs + workspace)."""
     rows, live = _search_tables(g)
     ready = [row for row in rows if not row[2]]
     mask = 0
-    order: list[int] = []
-    peak = 0
+    ran: list[int] = []
+    costs: list[int] = []
     while ready:
-        row = min(ready, key=lambda r: (live + r[3], r[0]))
+        row = choose(ready, live)
         ready.remove(row)
         i, bit, _, add, keep, frees = row
-        peak = max(peak, live + add)
+        costs.append(live + add)
         mask |= bit
         live += keep
         for consumers, nbytes in frees:
             if not consumers & ~mask:
                 live -= nbytes
-        order.append(i)
+        ran.append(i)
         ready += [rows[j] for j in g.succs[i] if not rows[j][2] & ~mask]
-    names = tuple(g.ops[i].name for i in order)
-    return Schedule(order=names, optimal=False), peak
+    return ran, costs
+
+
+def schedule_memory(g: ComputeGraph, schedule: Schedule | tuple[str, ...]) -> MemoryReport:
+    """Per-step live bytes and their max for one fixed topological order.
+
+    GraphError if the order is not one: a name is missing, repeated,
+    extra or unknown, or an op comes before one it reads from.
+    """
+    order = schedule.order if isinstance(schedule, Schedule) else tuple(schedule)
+    names = iter(order)
+
+    def follow(ready, live):
+        i = g.op_index.get(next(names, None))
+        for row in ready:
+            if row[0] == i:
+                return row
+        raise GraphError("schedule is not a topological order of the graph")
+
+    ran, costs = _walk(g, follow)
+    if len(ran) != len(order):
+        raise GraphError("schedule is not a topological order of the graph")
+    steps = []
+    for i, cost in zip(ran, costs):
+        op = g.ops[i]
+        steps.append(StepCost(op.name, cost - op.workspace, op.workspace))
+    return MemoryReport(peak_bytes=max(costs, default=0), steps=steps)
+
+
+def greedy_memory_schedule(g: ComputeGraph) -> tuple[Schedule, int]:
+    """Cheapest-next-step heuristic order; peak is an upper bound only.
+
+    Ties between equally cheap steps go to the lowest op index.
+    """
+    ran, costs = _walk(g, lambda ready, live: min(ready, key=lambda r: (live + r[3], r[0])))
+    names = tuple(g.ops[i].name for i in ran)
+    return Schedule(order=names, optimal=False), max(costs, default=0)
+
+
+def _only(ready, live):
+    if len(ready) != 1:
+        raise GraphError(
+            f"graph has non-trivial parallel structure ({len(ready)} ops ready)"
+        )
+    return ready[0]
 
 
 def unique_topological_order(g: ComputeGraph) -> tuple[str, ...]:
     """The single feasible order, or GraphError if the graph branches."""
-    remaining = [len(p) for p in g.preds]
-    done = [False] * len(g.ops)
-    order: list[str] = []
-    for _ in range(len(g.ops)):
-        ready = [i for i in range(len(g.ops)) if not done[i] and remaining[i] == 0]
-        if len(ready) != 1:
-            raise GraphError(
-                f"graph has non-trivial parallel structure ({len(ready)} ops ready)"
-            )
-        i = ready[0]
-        done[i] = True
-        order.append(g.ops[i].name)
-        for j in g.succs[i]:
-            remaining[j] -= 1
-    return tuple(order)
+    return tuple(g.ops[i].name for i in _walk(g, _only)[0])
 
 
 def linear_bound_memory(g: ComputeGraph) -> int:
     """Peak of the unique schedule of a graph whose only parallelism is
-    shortcuts: ``schedule_memory`` evaluated on ``unique_topological_order``
-    (GraphError if the graph branches).
+    shortcuts (GraphError if the graph branches).
 
     On block-granular chains nothing is carried across an op, so this is
     the max combined input/output size (plus workspace) over operations.
     """
-    order = unique_topological_order(g)
-    return schedule_memory(g, order).peak_bytes
+    return max(_walk(g, _only)[1], default=0)
 
 
 @dataclass(frozen=True)

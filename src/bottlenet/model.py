@@ -221,10 +221,7 @@ class Model:
         fan_ins: dict[str, int] = {}
         for name, arr in self.parameters():
             if name.endswith(".weight"):
-                if name.endswith("depthwise.weight"):
-                    fan = arr.shape[0] * arr.shape[1]
-                else:
-                    fan = int(np.prod(arr.shape[:-1]))
+                fan = int(np.prod(arr.shape[:-1]))
                 fan_ins[name.removesuffix(".weight")] = fan
                 arr[...] = rng.normal(arr.shape, stddev=np.sqrt(2.0 / fan))
         for name, arr in self.parameters():

@@ -98,7 +98,7 @@ def relu_preserved_fraction(n: int, m: int) -> float:
     """Exact expected fraction of sign patterns with >= n positive entries."""
     if not 1 <= n <= m:
         raise ValueError(f"need 1 <= n <= m, got n={n}, m={m}")
-    return sum(comb(m, k) for k in range(m - n + 1)) / 2.0**m
+    return sum(comb(m, k) for k in range(m - n + 1)) / 2**m
 
 
 def relu_preserved_fraction_mc(

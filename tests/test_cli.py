@@ -319,6 +319,13 @@ class TestTheoryCommands:
         code, _, _ = run_cli(["theory", "collapse", "--n", "4", "--m", "2"], capsys)
         assert code == 2
 
+    def test_collapse_m_past_float_range(self):
+        r = run_subprocess(["theory", "collapse", "--n", "1", "--m", "1100",
+                            "--trials", "1", "--format", "json"])
+        assert r.returncode == 0, r.stderr
+        assert b"Traceback" not in r.stderr
+        assert json.loads(r.stdout)["preserved_exact"] == 1.0
+
     def test_spiral_json(self, capsys, repo_root):
         code, out, _ = run_cli(
             ["theory", "spiral", "--dims", "2,30", "--seed", "9",

@@ -81,9 +81,17 @@ class TestScheduleMemory:
         assert [s.total for s in report.steps] == [300, 250]
         assert report.peak_bytes == 300
 
-    def test_non_topological_rejected(self):
-        with pytest.raises(GraphError):
-            schedule_memory(chain_graph(), ("op2", "op1"))
+    @pytest.mark.parametrize("order", [
+        ("op2", "op1"),
+        ("op1", "op1", "op2"),
+        ("op1", "op2", "op1"),
+        ("op1",),
+        ("op1", "op2", "op3"),
+        ("op1", "nope"),
+    ], ids=["reversed", "duplicated", "duplicated-last", "missing", "extra", "unknown"])
+    def test_non_topological_rejected(self, order):
+        with pytest.raises(GraphError, match="not a topological order"):
+            schedule_memory(chain_graph(), order)
 
     def test_diamond_orders_differ(self):
         g = diamond_graph()
@@ -127,8 +135,7 @@ class TestMinMemorySchedule:
             min_memory_schedule(g)
         sched, peak = greedy_memory_schedule(g)
         assert not sched.optimal
-        assert g.is_topological(sched.order)
-        assert peak == 20
+        assert schedule_memory(g, sched).peak_bytes == peak == 20
 
     def test_lexicographic_tie_break(self):
         # Two independent identical chains; all orders tie, the op-index
@@ -165,6 +172,23 @@ def general_dags(draw, max_ops=12):
         ops.append(OpNode(f"op{i}", tuple(ins), tuple(t.name for t in outs),
                           workspace=draw(st.one_of(st.sampled_from((0, 0, 8, 40)),
                                                    st.integers(0, 30)))))
+    return ComputeGraph(tensors, ops)
+
+
+@st.composite
+def shortcut_chains(draw, max_ops=7):
+    """Each op writes one tensor and reads up to two earlier ones as
+    shortcuts; nine in ten also read the previous op's output.  The order
+    is unique exactly when every op keeps that link."""
+    tensors = [TensorNode("x0", draw(st.integers(0, 64)))]
+    ops = []
+    for i in range(draw(st.integers(1, max_ops))):
+        earlier = [t.name for t in tensors[:-1]]
+        ins = draw(st.lists(st.sampled_from(earlier), max_size=2, unique=True)) if earlier else []
+        if draw(st.integers(0, 9)):
+            ins.append(tensors[-1].name)
+        tensors.append(TensorNode(f"x{i + 1}", draw(st.integers(0, 64))))
+        ops.append(OpNode(f"op{i}", tuple(ins), (tensors[-1].name,)))
     return ComputeGraph(tensors, ops)
 
 
@@ -257,6 +281,16 @@ class TestLinearBound:
     def test_rejects_nontrivial_parallelism(self):
         with pytest.raises(GraphError):
             linear_bound_memory(diamond_graph())
+
+    @settings(max_examples=200, deadline=None)
+    @given(g=st.one_of(general_dags(max_ops=7), shortcut_chains()))
+    def test_unique_order_matches_exhaustive(self, g):
+        orders = list(exhaustive_schedules(g))
+        if len(orders) == 1:
+            assert unique_topological_order(g) == orders[0]
+        else:
+            with pytest.raises(GraphError, match="parallel structure"):
+                unique_topological_order(g)
 
     def test_residual_equals_min_schedule(self):
         g = residual_graph()

@@ -126,6 +126,10 @@ class TestPreservedFraction:
         # preserved >= 1 - 2^{-m/2} once m is comfortably above n
         assert relu_preserved_fraction(4, 24) >= 1 - 2.0**-12
 
+    def test_past_float_range_of_two_to_the_m(self):
+        # 2.0**1100 overflows; the exact integer divisor does not.
+        assert relu_preserved_fraction(1, 1100) == 1.0
+
     def test_mc_within_four_standard_errors(self):
         for n, m, seed in ((2, 4, 3), (3, 3, 4), (2, 6, 5)):
             p = relu_preserved_fraction(n, m)
