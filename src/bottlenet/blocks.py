@@ -24,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ChannelMismatchError, InvalidShapeError
-# add_residual is not called here; perfbench/tracing.py patches it by this name.
+# add_residual and relu6 are not called here; perfbench/tracing.py patches them.
 from .kernels import (  # noqa: F401
     Conv2dParams,
     DepthwiseParams,
@@ -105,16 +105,14 @@ def _group_stages(p: BottleneckParams, start: int, stop: int):
 
 
 def _group_forward(x, expand, depthwise, project, tap):
-    """Projection of one group: expand -> ReLU6 -> depthwise -> ReLU6 ->
-    project.  Without an expansion conv ``x`` is the group's own channels."""
+    """Projection of one group: expand and depthwise, each ending in ReLU6,
+    then project.  Without an expansion conv ``x`` is the group's own channels."""
     inner = x
     if expand is not None:
-        inner = conv2d(x, expand)
-        inner = relu6(inner, out=inner)
+        inner = conv2d(x, expand, activation="relu6")
         if tap is not None:
             tap("expand", inner)
-    inner = depthwise_conv(inner, depthwise)
-    inner = relu6(inner, out=inner)
+    inner = depthwise_conv(inner, depthwise, activation="relu6")
     if tap is not None:
         tap("depthwise", inner)
     return conv2d(inner, project)

@@ -242,10 +242,12 @@ def cmd_infer(args) -> int:
 
 
 def cmd_theory_collapse(args) -> int:
-    from .theory import relu_preserved_fraction, relu_preserved_fraction_mc
+    from .theory import MC_BATCH_VALUES, relu_preserved_fraction, relu_preserved_fraction_mc
 
     if args.n < 1 or args.m < args.n:
         raise UsageError(f"need 1 <= n <= m, got n={args.n}, m={args.m}")
+    if args.m * args.n > MC_BATCH_VALUES:
+        raise UsageError(f"m*n must be <= {MC_BATCH_VALUES}, got {args.m * args.n}")
     if args.trials < 1:
         raise UsageError(f"--trials must be >= 1, got {args.trials}")
     exact = relu_preserved_fraction(args.n, args.m)

@@ -20,8 +20,12 @@ step equals an element step, and einsum then sums a row's kx taps in a
 register first, which changes the bytes.
 The 3x3 dense convolution (the stem) builds its im2col columns with one
 copy of a strided window view over the padded input, in (ky, kx, c) order.
-Elementwise epilogues that follow a freshly produced tensor (the bias add
-in ``conv2d``, ``relu6(..., out=...)``) write in place.
+Both convolutions finish their own output in place: the bias add (skipped
+for an all-zero bias), then, with ``activation="relu6"``, one pass of the
+``clip`` ufunc, bound at import (``np.clip``'s wrapper costs microseconds).
+It equals ``relu6``'s max-then-min except on -0.0, which never reaches it:
+matmul and einsum sums start at +0.0, +0.0 + -0.0 is +0.0, and adding a
+bias to a value that is not -0.0 never gives -0.0; a zero bias changes nothing.
 
 Padding convention
 ------------------
@@ -43,6 +47,11 @@ import numpy as np
 
 from .errors import ChannelMismatchError, InvalidShapeError, ShapeMismatchError
 from .tensor import assert_activation
+
+try:  # the clip ufunc itself: see the module docstring
+    from numpy._core.umath import clip as _clip
+except ImportError:  # numpy 1.x
+    from numpy.core.umath import clip as _clip
 
 
 @dataclass
@@ -118,7 +127,7 @@ def _pad_same(x: np.ndarray, kernel: int, stride: int):
     return x, oh, ow
 
 
-def conv2d(x: np.ndarray, p: Conv2dParams) -> np.ndarray:
+def conv2d(x: np.ndarray, p: Conv2dParams, *, activation: str = "none") -> np.ndarray:
     """Cross-correlation with SAME padding; output (b, ceil(h/s), ceil(w/s), d_out)."""
     assert_activation(x, "conv2d input")
     b, h, w, c = x.shape
@@ -129,9 +138,8 @@ def conv2d(x: np.ndarray, p: Conv2dParams) -> np.ndarray:
     k, s = p.kernel, p.stride
     if k == 1:
         view = x[:, ::s, ::s, :]
-        oh, ow = view.shape[1], view.shape[2]
-        flat = view.reshape(-1, c)
-        out = flat @ p.weights.reshape(c, p.out_channels)
+        oh, ow = view.shape[1:3]
+        out = view.reshape(-1, c) @ p.weights.reshape(c, p.out_channels)
     else:
         xp, oh, ow = _pad_same(x, k, s)  # k=3 always pads: xp is C-contiguous
         # im2col: window (oy, ox) row ky is one contiguous run of k*c floats.
@@ -141,11 +149,14 @@ def conv2d(x: np.ndarray, p: Conv2dParams) -> np.ndarray:
             xp, (b, oh, ow, k, k * c), (sb, s * sy, s * sx, sy, xp.itemsize))
         cols = np.ascontiguousarray(win).reshape(-1, k * k * c)
         out = cols @ p.weights.reshape(k * k * c, p.out_channels)
-    out += p.bias
+    if p.bias.any():
+        out += p.bias
+    if activation == "relu6":
+        _clip(out, 0.0, 6.0, out=out)
     return out.reshape(b, oh, ow, p.out_channels)
 
 
-def depthwise_conv(x: np.ndarray, p: DepthwiseParams) -> np.ndarray:
+def depthwise_conv(x: np.ndarray, p: DepthwiseParams, *, activation: str = "none") -> np.ndarray:
     """Per-channel spatial filter; output channel c depends only on input channel c."""
     assert_activation(x, "depthwise input")
     b, h, w, c = x.shape
@@ -165,22 +176,25 @@ def depthwise_conv(x: np.ndarray, p: DepthwiseParams) -> np.ndarray:
     # ow*s stride-1 pixels of which every s-th is an output pixel.
     run = ow * s * cw
     sb, sy, sx, e = plane.strides
-    win = np.lib.stride_tricks.as_strided(plane, (k, k, b, oh, run), (sy, sx, sb, s * sy, e))
-    taps = np.zeros((k, k, ow * s, cw), dtype=np.float32)
-    taps[..., :c] = p.weights.reshape(k, k, 1, c)
-    acc = np.einsum("ijbyn,ijn->byn", win, taps.reshape(k, k, run))
+    win = np.ndarray((k, k, b, oh, run), np.float32, plane, 0, (sy, sx, sb, s * sy, e))
+    weights = p.weights if c > 1 else np.concatenate((p.weights, np.zeros_like(p.weights)), 2)
+    taps = weights.reshape(k, k, 1, cw).repeat(ow * s, axis=2).reshape(k, k, run)
+    acc = np.einsum("ijbyn,ijn->byn", win, taps)
     del plane, win  # scratch goes before the output
     out = np.empty((b, oh, ow, c), dtype=np.float32)
-    bias = np.tile(p.bias, ow).reshape(ow, c)
+    bias = p.bias.reshape(1, c).repeat(ow, axis=0)
     np.add(acc.reshape(b, oh, ow, s * cw)[..., :c], bias, out=out)
+    if activation == "relu6":
+        _clip(out, 0.0, 6.0, out=out)
     return out
 
 
 def relu6(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Elementwise min(max(x, 0), 6), the low-precision-friendly clamp.
 
-    Pure by default; ``out=x`` clamps a tensor the caller just produced in
-    place.  max-then-min, not ``np.clip``: the bytes differ on -0.0.
+    The reference definition, which the convolution kernels fuse.  Pure by
+    default; ``out=x`` clamps in place.  max-then-min, not ``np.clip``: the
+    bytes differ on -0.0.
     """
     y = np.maximum(x, np.float32(0.0), out=out)
     return np.minimum(y, np.float32(6.0), out=y)

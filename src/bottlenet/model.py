@@ -33,7 +33,8 @@ from .blocks import (
     expanded_width,
 )
 from .errors import InvalidShapeError, ShapeMismatchError
-from .kernels import Conv2dParams, DepthwiseParams, conv2d, global_avgpool, relu6
+# relu6 is not called here; perfbench/tracing.py patches it by this name.
+from .kernels import Conv2dParams, DepthwiseParams, conv2d, global_avgpool, relu6  # noqa: F401
 from .tensor import Rng, assert_activation
 
 
@@ -172,11 +173,9 @@ class Model:
             )
         for layer in self.layers:
             if isinstance(layer, ConvLayer):
-                x = conv2d(x, layer.params)
-                if layer.activation == "relu6":
-                    x = relu6(x, out=x)
-                    if tap is not None:
-                        tap(layer.name, x)
+                x = conv2d(x, layer.params, activation=layer.activation)
+                if tap is not None and layer.activation == "relu6":
+                    tap(layer.name, x)
             elif isinstance(layer, BottleneckLayer):
                 if block_runner is not None:
                     x = block_runner(x, layer.params)

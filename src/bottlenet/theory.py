@@ -33,8 +33,10 @@ from .model import BottleneckLayer, ConvLayer, Model
 from .tensor import Rng
 
 RANK_RTOL = 1e-8
-# Trials drawn per Monte Carlo batch; the draws for a seed depend on it.
+# Trials drawn per Monte Carlo batch, and the float64 values one batch of
+# matrices may hold; the draws for a seed depend on both.
 MC_CHUNK = 8192
+MC_BATCH_VALUES = 2**24
 SPIRAL_TURNS = 3.0
 
 
@@ -119,7 +121,7 @@ def relu_preserved_fraction_mc(
     preserved = 0
     done = 0
     while done < trials:
-        count = min(MC_CHUNK, trials - done)
+        count = max(1, min(MC_CHUNK, trials - done, MC_BATCH_VALUES // (m * n)))
         B = rng.normal((count, m, n), dtype=np.float64)
         x = rng.uniform((count, n), dtype=np.float64)
         z = np.einsum("tmn,tn->tm", B, x)

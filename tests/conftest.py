@@ -245,13 +245,13 @@ def executed_madds():
         b, h, w, _ = x.shape
         return b * -(-h // p.stride) * -(-w // p.stride) * p.kernel * p.kernel
 
-    def counted_conv(x, p):
+    def counted_conv(x, p, **kw):
         tally.total += taps(x, p) * p.in_channels * p.out_channels
-        return conv(x, p)
+        return conv(x, p, **kw)
 
-    def counted_dwise(x, p):
+    def counted_dwise(x, p, **kw):
         tally.total += taps(x, p) * p.channels
-        return dwise(x, p)
+        return dwise(x, p, **kw)
 
     with pytest.MonkeyPatch.context() as mp:
         for module in (kernels, blocks, model, memplan):

@@ -326,6 +326,14 @@ class TestTheoryCommands:
         assert b"Traceback" not in r.stderr
         assert json.loads(r.stdout)["preserved_exact"] == 1.0
 
+    def test_collapse_batch_past_memory_exit_2(self):
+        # 100,000 x 100,000 float64 matrices: one trial alone is 74.5 GiB.
+        r = run_subprocess(["theory", "collapse", "--n", "100000", "--m", "100000",
+                            "--trials", "1"])
+        assert r.returncode == 2, r.stderr
+        assert r.stdout == b""
+        assert r.stderr.startswith(b"error:") and b"Traceback" not in r.stderr
+
     def test_spiral_json(self, capsys, repo_root):
         code, out, _ = run_cli(
             ["theory", "spiral", "--dims", "2,30", "--seed", "9",
@@ -425,14 +433,16 @@ class TestHarness:
         base = run_subprocess(["summarize", *SMALL, "--format", "csv"])
         assert r.stdout == base.stdout
 
-    def test_inference_bits_stable_across_thread_counts(self, tmp_path):
+    @pytest.mark.parametrize("split", [[], ["--split", "8"]], ids=["monolithic", "split8"])
+    def test_inference_bits_stable_across_thread_counts(self, tmp_path, split):
         # Kernel reductions are never split across workers, so the logits
-        # must be byte-identical whatever the BLAS pool size.
+        # must be byte-identical whatever the BLAS pool size, through the
+        # fused kernels of the monolithic block and of the cascade alike.
         outs = []
         for threads in ("1", "4"):
             path = tmp_path / f"t{threads}.bten"
             r = run_subprocess(
-                ["infer", *SMALL, "--random-weights", "--seed", "3",
+                ["infer", *SMALL, "--random-weights", "--seed", "3", *split,
                  "--random-input", "--input-seed", "4", "--out", str(path)],
                 env_extra={"BTN_THREADS": threads})
             assert r.returncode == 0

@@ -289,6 +289,83 @@ class TestActivations:
         assert y.tobytes() == pure.tobytes()
 
 
+def planted_stage(rng, cls, stride, shape, wide, lo, zeros, bias):
+    """Stage parameters whose weights and bias are last-axis slices of wider
+    arrays.  ``zeros`` plants +0.0 and -0.0 in the weights; ``bias`` is
+    "random", "planted" (+0.0 and -0.0 among random values), "+0" or "-0"."""
+    c = shape[-1]
+    weights = rng.normal((*shape[:-1], wide))
+    if zeros:
+        weights[..., ::3] = 0.0
+        weights.reshape(-1)[1::4] = -0.0
+    b = rng.normal((wide,))
+    if bias == "planted":
+        b[lo::2] = 0.0
+        b[lo + 1::4] = -0.0
+    elif bias != "random":
+        b[...] = float(bias)
+    return cls(stride, weights[..., lo : lo + c], b[lo : lo + c])
+
+
+def assert_fused_epilogue(kernel, seed_kernel, xs, p):
+    # Unclamped: the seed's bytes, and never -0.0, which is what makes one
+    # clamp equal relu6's max-then-min.  Clamped: relu6 of the unclamped.
+    plain = kernel(xs, p)
+    if seed_kernel is not None:
+        assert plain.tobytes() == seed_kernel(xs, p).tobytes()
+    assert not (np.signbit(plain) & (plain == 0)).any()
+    assert kernel(xs, p, activation="none").tobytes() == plain.tobytes()
+    assert kernel(xs, p, activation="relu6").tobytes() == relu6(plain).tobytes()
+
+
+BIASES = st.sampled_from(["random", "planted", "+0", "-0"])
+
+
+class TestFusedEpilogue:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        b=st.integers(1, 3), h=st.integers(1, 12), w=st.integers(1, 12),
+        cin=st.integers(1, 6), cout=st.integers(1, 9), kernel=st.sampled_from([1, 3]),
+        stride=st.sampled_from([1, 2]), lo=st.integers(0, 3), hi=st.integers(0, 3),
+        zeros=st.booleans(), bias=BIASES, seed=st.integers(0, 2**32 - 1),
+    )
+    def test_conv2d_bytes(self, b, h, w, cin, cout, kernel, stride, lo, hi, zeros, bias, seed):
+        rng = Rng(seed)
+        xs = sliced_input(rng, b, h, w, cin, lo, hi, zeros)
+        p = planted_stage(rng, Conv2dParams, stride, (kernel, kernel, cin, cout),
+                          lo + cout + hi, lo, zeros, bias)
+        # A 1x1 conv multiplies a view of its input, not the seed's column
+        # copy, and numpy's matmul leaves BLAS for a strided view, which can
+        # move an ulp.  The engine's 1x1 convs are stride 1 on whole tensors.
+        if kernel == 1:
+            xs = np.ascontiguousarray(xs)
+        seeded = kernel == 3 or stride == 1
+        assert_fused_epilogue(conv2d, seed_conv2d if seeded else None, xs, p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        b=st.integers(1, 3), h=st.integers(1, 12), w=st.integers(1, 12),
+        c=st.integers(1, 11), kernel=st.sampled_from([1, 3]), stride=st.sampled_from([1, 2]),
+        lo=st.integers(0, 3), hi=st.integers(0, 3), zeros=st.booleans(), bias=BIASES,
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_depthwise_bytes(self, b, h, w, c, kernel, stride, lo, hi, zeros, bias, seed):
+        rng = Rng(seed)
+        xs = sliced_input(rng, b, h, w, c, lo, hi, zeros)
+        p = planted_stage(rng, DepthwiseParams, stride, (kernel, kernel, c),
+                          lo + c + hi, lo, zeros, bias)
+        assert_fused_epilogue(depthwise_conv, seed_depthwise, xs, p)
+
+    @pytest.mark.parametrize("kernel,stage", [
+        (conv2d, Conv2dParams(1, np.ones((1, 1, 2, 3)), np.zeros(3))),
+        (depthwise_conv, DepthwiseParams(1, np.ones((3, 3, 2)), np.zeros(2))),
+    ])
+    def test_activation_is_keyword_only(self, kernel, stage):
+        # perfbench's cost functions take exactly (x, p) from the positionals.
+        with pytest.raises(TypeError):
+            kernel(new_tensor((1, 4, 4, 2), 1.0), stage, "relu6")
+
+
 class TestAvgpool:
     def test_constant(self):
         x = new_tensor((2, 7, 7, 3), 0.75)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
+from bottlenet import theory
 from bottlenet.errors import NotInvertibleError, ShapeMismatchError
 from bottlenet.model import ModelSpec, build_model
 from bottlenet.tensor import Rng, random_gaussian
@@ -142,6 +143,24 @@ class TestPreservedFraction:
         a = relu_preserved_fraction_mc(2, 4, 5000, 9)
         b = relu_preserved_fraction_mc(2, 4, 5000, 9)
         assert a == b
+
+    def test_mc_batches_capped_by_matrix_values(self, monkeypatch):
+        # Each batch of matrices holds at most MC_BATCH_VALUES values, and
+        # at least one trial; the default cap leaves m*n <= 2048 at MC_CHUNK.
+        assert theory.MC_BATCH_VALUES // 2048 == theory.MC_CHUNK
+        sizes, normal = [], Rng.normal
+
+        def recorded(self, shape, **kw):
+            sizes.append(shape)
+            return normal(self, shape, **kw)
+
+        monkeypatch.setattr(Rng, "normal", recorded)
+        monkeypatch.setattr(theory, "MC_BATCH_VALUES", 64)
+        relu_preserved_fraction_mc(2, 8, 100, 1)
+        assert sizes == [(4, 8, 2)] * 25
+        sizes.clear()
+        relu_preserved_fraction_mc(9, 9, 3, 1)
+        assert sizes == [(1, 9, 9)] * 3
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
