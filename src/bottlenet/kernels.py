@@ -137,7 +137,7 @@ def conv2d(x: np.ndarray, p: Conv2dParams, *, activation: str = "none") -> np.nd
         )
     k, s = p.kernel, p.stride
     if k == 1:
-        view = x[:, ::s, ::s, :]
+        view = np.ascontiguousarray(x[:, ::s, ::s, :])  # a strided operand changes the bytes
         oh, ow = view.shape[1:3]
         out = view.reshape(-1, c) @ p.weights.reshape(c, p.out_channels)
     else:

@@ -106,7 +106,7 @@ def seed_depthwise(x: np.ndarray, p: DepthwiseParams) -> np.ndarray:
 
 
 def seed_conv2d(x: np.ndarray, p: Conv2dParams) -> np.ndarray:
-    """The original k=3 im2col, kept as the byte-exactness reference.
+    """The original im2col (k=3 or 1), kept as the byte-exactness reference.
 
     np.pad, then one strided slice per tap copied into a (b, oh, ow, k*k, c)
     column buffer, one matmul, bias last.  The production kernel must build
@@ -335,12 +335,24 @@ def positive_depthwise(rng: Rng, kernel: int, stride: int, channels: int,
     )
 
 
+def graph_links(g: ComputeGraph):
+    """(producer, consumers, preds) read from ``g.ops`` and ``g.tensors``
+    alone, not from the graph's own tables: the index of the op writing
+    each tensor (graph inputs have none), the indices of the ops reading
+    each tensor, and each op's set of predecessor op indices."""
+    producer = {t: i for i, op in enumerate(g.ops) for t in op.outputs}
+    consumers = {t: [i for i, op in enumerate(g.ops) if t in op.inputs] for t in g.tensors}
+    preds = [{producer[t] for t in op.inputs if t in producer} for op in g.ops]
+    return producer, consumers, preds
+
+
 def exhaustive_schedules(g: ComputeGraph):
     """Yield every topological order of the graph's ops (names)."""
     n = len(g.ops)
-    remaining = [len(p) for p in g.preds]
+    all_preds = graph_links(g)[2]
+    remaining = [len(p) for p in all_preds]
     succs = [[] for _ in g.ops]
-    for i, preds in enumerate(g.preds):
+    for i, preds in enumerate(all_preds):
         for p in preds:
             succs[p].append(i)
     order: list[int] = []
@@ -371,12 +383,14 @@ class _SeedSearchState:
 
     def __init__(self, g: ComputeGraph):
         self.g = g
-        self.refcount = {t: len(g.consumers[t]) for t in g.tensors}
-        self.live = {t: g.tensors[t].nbytes for t in g.sources() if self.refcount[t] > 0}
+        producer, consumers, all_preds = graph_links(g)
+        self.refcount = {t: len(consumers[t]) for t in g.tensors}
+        self.live = {t: g.tensors[t].nbytes for t in g.tensors
+                     if t not in producer and self.refcount[t] > 0}
         self.live_bytes = sum(self.live.values())
-        self.remaining_preds = [len(p) for p in g.preds]
+        self.remaining_preds = [len(p) for p in all_preds]
         self.succs: list[list[int]] = [[] for _ in g.ops]
-        for i, preds in enumerate(g.preds):
+        for i, preds in enumerate(all_preds):
             for p in preds:
                 self.succs[p].append(i)
 
@@ -479,20 +493,22 @@ def seed_greedy_memory_schedule(g: ComputeGraph) -> tuple[tuple[str, ...], int, 
 def seed_schedule_steps(g: ComputeGraph, order: tuple[str, ...]) -> list[tuple[str, int, int]]:
     """The original per-step rescan of every tensor: (op, live, workspace)."""
     pos = {name: k for k, name in enumerate(order)}
+    producer, consumers, _ = graph_links(g)
     produced_at: dict[str, int] = {}
     last_use: dict[str, int] = {}
     for t in g.tensors:
-        prod = g.producer.get(t)
+        prod = producer.get(t)
         produced_at[t] = -1 if prod is None else pos[g.ops[prod].name]
-        uses = [pos[g.ops[c].name] for c in g.consumers[t]]
+        uses = [pos[g.ops[c].name] for c in consumers[t]]
         if prod is not None:
             uses.append(produced_at[t])
         last_use[t] = max(uses) if uses else -2
+    workspace = {op.name: op.workspace for op in g.ops}
     steps = []
     for k, name in enumerate(order):
         live = sum(g.tensors[t].nbytes for t in g.tensors
                    if produced_at[t] <= k <= last_use[t])
-        steps.append((name, live, g.ops[g.op_index[name]].workspace))
+        steps.append((name, live, workspace[name]))
     return steps
 
 

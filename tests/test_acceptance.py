@@ -52,6 +52,7 @@ from conftest import (
     bottleneck_madds,
     executed_madds,
     exhaustive_schedules,
+    graph_links,
     naive_conv2d,
     naive_depthwise,
     naive_param_count,
@@ -268,9 +269,11 @@ def closed_form_peak(g: ComputeGraph) -> int:
     plus tensors produced earlier and still needed later (zero on chains)."""
     order = unique_topological_order(g)
     pos = {name: i for i, name in enumerate(order)}
+    producer, consumers, _ = graph_links(g)
+    ops = {op.name: op for op in g.ops}
     best = 0
     for name in order:
-        op = g.ops[g.op_index[name]]
+        op = ops[name]
         here = pos[name]
         total = op.workspace
         total += sum(g.tensors[t].nbytes for t in op.inputs)
@@ -278,9 +281,9 @@ def closed_form_peak(g: ComputeGraph) -> int:
         for t, node in g.tensors.items():
             if t in op.inputs or t in op.outputs:
                 continue
-            prod = g.producer.get(t)
+            prod = producer.get(t)
             born = -1 if prod is None else pos[g.ops[prod].name]
-            uses = [pos[g.ops[c].name] for c in g.consumers[t]]
+            uses = [pos[g.ops[c].name] for c in consumers[t]]
             if not uses:
                 continue
             if born < here < max(uses):

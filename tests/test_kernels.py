@@ -130,6 +130,22 @@ def test_stem_conv_bytes_match_seed_im2col(b, h, w, cin, cout, stride, lo, hi, z
     assert conv2d(xs, p).tobytes() == seed_conv2d(xs, p).tobytes()
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    b=st.integers(1, 3), h=st.integers(1, 17), w=st.integers(1, 17),
+    cin=st.integers(1, 8), cout=st.integers(1, 8), stride=st.sampled_from([1, 2]),
+    lo=st.integers(0, 3), hi=st.integers(0, 3), zeros=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pointwise_conv_bytes_match_seed(b, h, w, cin, cout, stride, lo, hi, zeros, seed):
+    # The 1x1 path's bytes must not depend on the input's layout: stride 2
+    # and channel slices give strided views of the rows it multiplies.
+    rng = Rng(seed)
+    xs = sliced_input(rng, b, h, w, cin, lo, hi, zeros)
+    p = Conv2dParams(stride, rng.normal((1, 1, cin, cout)), rng.normal((cout,)))
+    assert conv2d(xs, p).tobytes() == seed_conv2d(xs, p).tobytes()
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     h=st.integers(1, 17),

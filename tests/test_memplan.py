@@ -533,6 +533,35 @@ class TestCascadeOnModel:
         assert after.tobytes() == fresh.forward(x, block_runner=cascade_runner(4)).tobytes()
 
 
+class TestSharedProducer:
+    """``join`` reads two outputs of ``split``: it has one predecessor and
+    is ``split``'s successor once, so every order runs it exactly once."""
+
+    ORDER = ("split", "join")
+
+    def pair_graph(self):
+        return ComputeGraph(
+            [TensorNode("s", 10), TensorNode("a", 20), TensorNode("b", 30),
+             TensorNode("out", 5)],
+            [OpNode("split", ("s",), ("a", "b"), workspace=7),
+             OpNode("join", ("a", "b"), ("out",))],
+        )
+
+    def test_each_op_runs_once(self):
+        g = self.pair_graph()
+        reference = min(max(live + ws for _, live, ws in seed_schedule_steps(g, o))
+                        for o in exhaustive_schedules(g))
+        assert reference == 67
+        for search in (min_memory_schedule, greedy_memory_schedule):
+            sched, peak = search(g)
+            assert sched.order == self.ORDER and peak == reference
+        report = schedule_memory(g, self.ORDER)
+        assert [s.op for s in report.steps] == list(self.ORDER)
+        assert report.peak_bytes == reference
+        assert unique_topological_order(g) == self.ORDER
+        assert g.succs == [[1], []]
+
+
 class TestGraphSerialization:
     def test_jsonl_round_trip(self):
         g = diamond_graph()
@@ -562,6 +591,25 @@ class TestGraphValidation:
                 [OpNode("f", ("a",), ("b",)), OpNode("g", ("a",), ("b",))],
             )
 
+    @pytest.mark.parametrize("op", [
+        OpNode("f", ("a",), ("a",)),
+        OpNode("f", ("s", "a"), ("a", "b")),
+    ], ids=["only-own-output", "source-and-own-output"])
+    def test_op_reading_its_own_output_is_a_cycle(self, op):
+        with pytest.raises(GraphError, match="cycle"):
+            ComputeGraph([TensorNode("s", 1), TensorNode("a", 1), TensorNode("b", 1)],
+                         [OpNode("g", ("s",), ()), op])
+
+    def test_read_only_after_construction(self):
+        # The schedule tables are built once: an op appended or a tensor
+        # resized later would silently be ignored by every schedule.
+        g = chain_graph()
+        with pytest.raises(AttributeError):
+            g.ops.append(OpNode("op3", ("C",), ()))
+        with pytest.raises(TypeError):
+            g.tensors["B"] = TensorNode("B", 500)
+        assert schedule_memory(g, ("op1", "op2")).peak_bytes == 300
+
     def test_unknown_tensor_rejected(self):
         with pytest.raises(GraphError):
             ComputeGraph([TensorNode("a", 1)], [OpNode("f", ("a",), ("zzz",))])
@@ -580,4 +628,36 @@ class TestGraphValidation:
             '{"kind": "op", "name": "f", "inputs": ["a"], "outputs": ["b"], "workspace": -1000}\n'
         )
         with pytest.raises(GraphError, match="negative workspace"):
+            ComputeGraph.load_jsonl(buf)
+
+    @pytest.mark.parametrize("line", [
+        '{"kind": "tensor", "name": "w"}',
+        '{"kind": "op", "name": "f", "inputs": ["x"]}',
+        '{"kind": "tensor", "name": "w", "bytes": 4',
+        'tensor w 4',
+        '["tensor", "w", 4]',
+        '"tensor"',
+        '{"name": "w", "bytes": 4}',
+        '{"kind": "array", "name": "w", "bytes": 4}',
+        '{"kind": ["op"], "name": "w", "bytes": 4}',
+        '{"kind": "tensor", "name": "w", "bytes": "12x"}',
+        '{"kind": "tensor", "name": "w", "bytes": 1.7}',
+        '{"kind": "tensor", "name": "w", "bytes": true}',
+        '{"kind": "tensor", "name": 7, "bytes": 4}',
+        '{"kind": "op", "name": "f", "inputs": "xy", "outputs": ["z"]}',
+        '{"kind": "op", "name": "f", "inputs": ["x", 1], "outputs": ["z"]}',
+        '{"kind": "op", "name": "f", "inputs": ["x"], "outputs": "z"}',
+        '{"kind": "op", "name": "f", "inputs": ["x"], "outputs": ["z"], "workspace": 2.5}',
+    ], ids=["tensor-missing-bytes", "op-missing-outputs", "not-json", "plain-text",
+            "json-array", "json-string", "missing-kind", "unknown-kind", "list-kind",
+            "bytes-string", "bytes-float", "bytes-bool", "name-number", "inputs-string",
+            "inputs-number", "outputs-string", "workspace-float"])
+    def test_malformed_jsonl_line_named(self, line):
+        buf = io.StringIO(
+            '{"kind": "tensor", "name": "x", "bytes": 1}\n'
+            '{"kind": "tensor", "name": "y", "bytes": 2}\n'
+            '{"kind": "tensor", "name": "z", "bytes": 3}\n'
+            '\n' + line + '\n'
+        )
+        with pytest.raises(GraphError, match=r"^line 5: "):
             ComputeGraph.load_jsonl(buf)
