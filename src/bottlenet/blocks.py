@@ -31,6 +31,7 @@ from .kernels import (  # noqa: F401
     add_residual,
     conv2d,
     depthwise_conv,
+    depthwise_plane,
     relu6,
 )
 from .tensor import assert_activation
@@ -106,10 +107,13 @@ def _group_stages(p: BottleneckParams, start: int, stop: int):
 
 def _group_forward(x, expand, depthwise, project, tap):
     """Projection of one group: expand and depthwise, each ending in ReLU6,
-    then project.  Without an expansion conv ``x`` is the group's own channels."""
+    then project.  Without an expansion conv ``x`` is the group's own channels.
+    A large expansion writes straight into the depthwise input plane."""
     inner = x
     if expand is not None:
-        inner = conv2d(x, expand, activation="relu6")
+        plane = depthwise_plane((*x.shape[:3], expand.out_channels),
+                                depthwise.kernel, depthwise.stride)
+        inner = conv2d(x, expand, activation="relu6", out=plane)
         if tap is not None:
             tap("expand", inner)
     inner = depthwise_conv(inner, depthwise, activation="relu6")

@@ -44,7 +44,10 @@ class WeightPayloadError(WeightFormatError):
 
 
 class GraphError(BottlenetError):
-    """A compute graph violates its invariants (cycle, duplicate producer...)."""
+    """A compute graph violates its invariants (cycle, duplicate producer...).
+    ``record`` is ("tensor" or "op", index) of the offending node, if one is."""
+
+    record: tuple[str, int] | None = None
 
 
 class GraphTooLargeError(GraphError):

@@ -59,6 +59,13 @@ from .kernels import conv2d, depthwise_conv, relu6  # noqa: F401
 from .model import LayerRecord, ModelSpec, layer_walk
 
 
+def _broken(message: str, kind: str, index: int) -> GraphError:
+    """GraphError whose ``record`` names the node that breaks a graph rule."""
+    err = GraphError(message)
+    err.record = (kind, index)
+    return err
+
+
 @dataclass(frozen=True)
 class TensorNode:
     name: str
@@ -88,11 +95,11 @@ class ComputeGraph:
 
     def __init__(self, tensors: Iterable[TensorNode], ops: Iterable[OpNode]):
         named: dict[str, TensorNode] = {}
-        for t in tensors:
+        for j, t in enumerate(tensors):
             if t.name in named:
-                raise GraphError(f"duplicate tensor {t.name!r}")
+                raise _broken(f"duplicate tensor {t.name!r}", "tensor", j)
             if t.nbytes < 0:
-                raise GraphError(f"tensor {t.name!r} has negative size")
+                raise _broken(f"tensor {t.name!r} has negative size", "tensor", j)
             named[t.name] = t
         self.tensors = MappingProxyType(named)
         self.ops: tuple[OpNode, ...] = tuple(ops)
@@ -101,18 +108,18 @@ class ComputeGraph:
         cons = dict.fromkeys(named, 0)
         for i, op in enumerate(self.ops):
             if op.name in self.op_index:
-                raise GraphError(f"duplicate op {op.name!r}")
+                raise _broken(f"duplicate op {op.name!r}", "op", i)
             self.op_index[op.name] = i
             if op.workspace < 0:
-                raise GraphError(f"op {op.name!r} has negative workspace")
+                raise _broken(f"op {op.name!r} has negative workspace", "op", i)
             if len(set(op.inputs)) != len(op.inputs):
-                raise GraphError(f"op {op.name!r} lists an input twice")
+                raise _broken(f"op {op.name!r} lists an input twice", "op", i)
             for t in op.inputs + op.outputs:
                 if t not in named:
-                    raise GraphError(f"op {op.name!r} references unknown tensor {t!r}")
+                    raise _broken(f"op {op.name!r} references unknown tensor {t!r}", "op", i)
             for t in op.outputs:
                 if t in producer:
-                    raise GraphError(f"tensor {t!r} has two producers")
+                    raise _broken(f"tensor {t!r} has two producers", "op", i)
                 producer[t] = i
             for t in op.inputs:
                 cons[t] |= 1 << i
@@ -159,8 +166,11 @@ class ComputeGraph:
     def load_jsonl(cls, fp) -> "ComputeGraph":
         """Read what ``dump_jsonl`` writes.  GraphError names the first line
         that is not an object of a kind in ``_RECORDS`` with exactly typed
-        fields (no bool for int, only str in lists, an op's ``workspace`` 0 if absent)."""
-        nodes = {TensorNode: [], OpNode: []}
+        fields (no bool for int, only str in lists, an op's ``workspace`` 0 if
+        absent), or else the record that breaks a graph rule (of two
+        duplicates, the second); a cycle has no one line."""
+        nodes = {"tensor": [], "op": []}
+        lines = {}  # (kind, index) of each record: its line
         for lineno, line in enumerate(fp, 1):
             if not line.strip():
                 continue
@@ -176,8 +186,14 @@ class ComputeGraph:
                     what = "a list of str" if typ is list else typ.__name__
                     raise GraphError(f"line {lineno}: {rec['kind']} {key!r} must be {what}")
                 values.append(tuple(value) if typ is list else value)
-            nodes[node].append(node(*values))
-        return cls(nodes[TensorNode], nodes[OpNode])
+            lines[rec["kind"], len(nodes[rec["kind"]])] = lineno
+            nodes[rec["kind"]].append(node(*values))
+        try:
+            return cls(nodes["tensor"], nodes["op"])
+        except GraphError as exc:
+            if exc.record is None:  # a cycle has no one line
+                raise
+            raise GraphError(f"line {lines[exc.record]}: {exc}") from None
 
 
 # Each record's node and fields, in the order the node takes them.

@@ -8,7 +8,8 @@ float32 data of every entry in manifest order.
 Unpacking rejects a payload of the wrong length or with a non-finite
 value.  Loading validates the manifest against the model's parameter
 schema (names and shapes, in order) before touching any model state, so
-a failed load never leaves a half-mutated model.
+a failed load never leaves a half-mutated model.  It checks views of the
+file's bytes and copies each tensor once, into the model.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ def pack_container(entries: list[tuple[str, np.ndarray]]) -> bytes:
     return bytes(out) + bytes(payload)
 
 
-def unpack_container(raw: bytes) -> list[tuple[str, np.ndarray]]:
-    """Parse container bytes back into (name, array) pairs."""
+def _container_views(raw: bytes) -> list[tuple[str, np.ndarray]]:
+    """(name, read-only float32 view of ``raw``) pairs of a checked container."""
     if len(raw) < 8 or raw[:4] != WEIGHT_MAGIC:
         raise WeightFormatError("not a weight container (bad magic)")
     (count,) = struct.unpack_from("<I", raw, 4)
@@ -73,21 +74,24 @@ def unpack_container(raw: bytes) -> list[tuple[str, np.ndarray]]:
         seen.add(name)
     # Python ints: a fixed-width product could wrap and match a short payload.
     total = sum(math.prod(shape) for _, shape in manifest)
-    payload = raw[offset:]
-    if len(payload) != 4 * total:
+    if len(raw) - offset != 4 * total:
         raise WeightPayloadError(
-            f"payload is {len(payload)} bytes, manifest requires {4 * total}"
+            f"payload is {len(raw) - offset} bytes, manifest requires {4 * total}"
         )
-    entries = []
-    pos = 0
+    views = []
     for name, shape in manifest:
         n = math.prod(shape)
-        arr = np.frombuffer(payload, dtype="<f4", count=n, offset=4 * pos)
+        arr = np.frombuffer(raw, dtype="<f4", count=n, offset=offset)
         if not np.isfinite(arr).all():
             raise WeightPayloadError(f"tensor {name!r} holds a non-finite value")
-        entries.append((name, arr.reshape(shape).astype(np.float32, copy=True)))
-        pos += n
-    return entries
+        views.append((name, arr.reshape(shape)))
+        offset += 4 * n
+    return views
+
+
+def unpack_container(raw: bytes) -> list[tuple[str, np.ndarray]]:
+    """Parse container bytes back into (name, array) pairs."""
+    return [(name, view.astype(np.float32)) for name, view in _container_views(raw)]
 
 
 def save_weights(model: Model, path) -> None:
@@ -98,7 +102,7 @@ def save_weights(model: Model, path) -> None:
 def load_weights(model: Model, path) -> Model:
     """Populate ``model`` from a container file; validates before mutating."""
     with open(path, "rb") as fp:
-        entries = unpack_container(fp.read())
+        entries = _container_views(fp.read())  # copied once, into the model
     schema = model.parameter_schema()
     if len(entries) != len(schema):
         raise WeightNameError(

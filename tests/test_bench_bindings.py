@@ -64,19 +64,19 @@ def test_adapter_tags_every_stage(adapters):
     assert {"stem", "head", "classifier"} <= set(tags)
 
 
-@pytest.mark.parametrize("split", [None, 8])
-def test_traced_kernel_madds_equal_model_cost(tracing, split):
-    # The traced run's gate, in tier-1: one seeded forward's MAdds summed
-    # through tracing.KERNELS at every binding it patches equal model_cost.
-    spec = model.ModelSpec(resolution=96, width_multiplier=0.35)
+def traced_forward(tracing, spec, batch, split):
+    """(kernel MAdds summed through tracing.KERNELS at every binding it
+    patches, the input of each depthwise call) of one seeded forward."""
     net = model.build_model(spec).randomize(Rng(3))
-    x = random_gaussian((2, 96, 96, 3), Rng(4))
-    total = 0
+    x = random_gaussian((batch, spec.resolution, spec.resolution, 3), Rng(4))
+    total, depthwise_inputs = 0, []
 
     def counted(fn, cost):
         def call(*args, **kwargs):
             nonlocal total
             total += cost(*args)[0]
+            if fn is kernels.depthwise_conv:
+                depthwise_inputs.append(args[0])
             return fn(*args, **kwargs)
         return call
 
@@ -93,6 +93,27 @@ def test_traced_kernel_madds_equal_model_cost(tracing, split):
                 mp.setattr(MODULES[module], name,
                            counted(getattr(kernels, name), tracing.KERNELS[name]))
         net.forward(x, block_runner=runner)
-    assert total == costs.model_cost(spec).total_madds * 2
     for module, names in tracing.KERNEL_BINDINGS.items():
         assert all(getattr(MODULES[module], n) is getattr(kernels, n) for n in names)
+    return total, depthwise_inputs
+
+
+@pytest.mark.parametrize("split", [None, 8])
+def test_traced_kernel_madds_equal_model_cost(tracing, split):
+    # The traced run's gate, in tier-1: one seeded forward's MAdds summed
+    # through tracing.KERNELS at every binding it patches equal model_cost.
+    spec = model.ModelSpec(resolution=96, width_multiplier=0.35)
+    total, _ = traced_forward(tracing, spec, 2, split)
+    assert total == costs.model_cost(spec).total_madds * 2
+
+
+@pytest.mark.parametrize("split", [None, 8])
+def test_traced_madds_cover_both_depthwise_paths(tracing, split):
+    # At alpha 1.0, 224 px, batch 1, blocks fall on each side of the size
+    # rule, monolithic and at split 8: a depthwise call that skipped the
+    # traced binding on either path would drop its MAdds here.
+    spec = model.ModelSpec(resolution=224, width_multiplier=1.0)
+    total, inputs = traced_forward(tracing, spec, 1, split)
+    assert total == costs.model_cost(spec).total_madds
+    planes = [x.base is not None and x.base.ndim == 1 for x in inputs]
+    assert any(planes) and not all(planes)

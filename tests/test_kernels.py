@@ -252,25 +252,92 @@ class TestDepthwise:
         # widened with a zero second channel.  An einsum that fuses the
         # multiply-add or sums the taps in registers first fails here, not
         # in the kernel.
-        k, oh, ow, cw = 3, 7, 8, max(c, 2)
         for s in (1, 2):
-            rows, cols, run = (oh - 1) * s + k, ow * s + k - 1, ow * s * cw
-            rng = Rng(40 + 10 * b + c + 100 * s)
-            plane = np.zeros((b, rows, cols, cw), dtype=np.float32)
-            plane[..., :c] = rng.normal((b, rows, cols, c), stddev=3.0)
-            plane[:, ::5, ::3, :c] = -0.0
-            taps = np.zeros((k, k, ow * s, cw), dtype=np.float32)
-            taps[..., :c] = rng.normal((k, k, 1, c))
-            taps = taps.reshape(k, k, run)
-            sb, sy, sx, e = plane.strides
-            win = np.lib.stride_tricks.as_strided(
-                plane, (k, k, b, oh, run), (sy, sx, sb, s * sy, e))
-            want = np.zeros((b, oh, run), dtype=np.float32)
-            for ky in range(k):
-                for kx in range(k):
-                    want += win[ky, kx] * taps[ky, kx]
-            got = np.einsum("ijbyn,ijn->byn", win, taps)
-            assert got.tobytes() == want.tobytes(), f"stride {s}"
+            assert_window_taps_in_order(Rng(40 + 10 * b + c + 100 * s), b, c, s, 1, True)
+
+    @pytest.mark.parametrize("b", [1, 2])
+    @pytest.mark.parametrize("c", [2, 3, 8])
+    def test_einsum_adds_plane_window_taps_in_order(self, b, c):
+        # The same on a plane without padding columns: rows are read on
+        # across their ends, over values that zeroed edge taps multiply.
+        for s in (1, 2):
+            assert_window_taps_in_order(Rng(50 + 10 * b + c + 100 * s), b, c, s, 1, False)
+
+    @pytest.mark.parametrize("b", [1, 2])
+    @pytest.mark.parametrize("c", [2, 3, 8])
+    @pytest.mark.parametrize("padded", [True, False], ids=["copied", "in-place"])
+    def test_einsum_adds_output_window_taps_in_order(self, b, c, padded):
+        # The stride-2 window over output pixels only, on both layouts.
+        assert_window_taps_in_order(Rng(60 + 10 * b + c), b, c, 2, 2, padded)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        b=st.integers(1, 3), h=st.integers(1, 17), w=st.integers(1, 17),
+        c=st.integers(2, 130), kernel=st.sampled_from([1, 3]), stride=st.sampled_from([1, 2]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_plane_bytes_match_seed_loop(self, b, h, w, c, kernel, stride, seed):
+        # Whichever path the size rule picks, an input written into a plane
+        # and read in place gives the tap loop's bytes, as a copied one does.
+        rng = Rng(seed)
+        x = rng.uniform((b, h, w, c), 0.0, 6.0)
+        p = DepthwiseParams(stride, rng.normal((kernel, kernel, c)), rng.normal((c,)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "PLANE_FLOATS", 0)
+            plane = kernels.depthwise_plane(x.shape, kernel, stride)
+        plane[...] = x
+        want = seed_depthwise(x, p).tobytes()
+        assert depthwise_conv(plane, p).tobytes() == want
+        assert depthwise_conv(x, p).tobytes() == want
+
+    def test_plane_is_read_in_place_above_the_size_rule(self):
+        x = Rng(12).uniform((1, 64, 64, 32), 0.0, 6.0)
+        p = positive_depthwise(Rng(13), 3, 1, 32)
+        plane = kernels.depthwise_plane(x.shape, 3, 1)
+        assert kernels.depthwise_plane((1, 64, 64, 31), 3, 1) is None  # under 2**17 floats
+        assert kernels.depthwise_plane((2**17, 1, 1, 1), 3, 1) is None  # one channel
+        plane[...] = x
+        want = depthwise_conv(x, p)
+        assert depthwise_conv(plane, p).tobytes() == want.tobytes()
+        # Its top zero row is outside the interior: only an in-place read sees it.
+        plane.base[32 : 32 + 64 * 32] = 1.0
+        assert not np.array_equal(depthwise_conv(plane, p), want)
+        assert depthwise_conv(plane.copy(), p).tobytes() == want.tobytes()
+
+
+def assert_window_taps_in_order(rng, b, c, s, q, padded):
+    """The kernel's window over a seeded plane, stepping q pixels, equals
+    a (ky, kx) loop of float32 multiply-adds.  ``padded``: the copied plane
+    with padding columns; otherwise the plane without them, whose taps
+    that would read a padding column are zeroed."""
+    k, h, w = 3, 13, 16
+    oh, pt, pb = same_pad_amounts(h, k, s)
+    ow, pl, pr = same_pad_amounts(w, k, s)
+    cw, rows = max(c, 2), h + pt + pb
+    cols = ow * s + k - 1 if padded else w
+    lead, tail = (0, 0) if padded else (pl * cw, (pr + s - 1) * cw)
+    buf = np.zeros(lead + b * rows * cols * cw + tail, dtype=np.float32)
+    row = 4 * cols * cw
+    interior = np.ndarray((b, h, w, cw), np.float32, buf, 4 * (pt * cols + pl) * cw,
+                          (rows * row, row, 4 * cw, 4))
+    interior[..., :c] = rng.normal((b, h, w, c), stddev=3.0)
+    interior[:, ::5, ::3, :c] = -0.0
+    npix = ow * s // q
+    steps, span = (ow, cw) if q == 2 else (1, npix * cw)
+    win = np.ndarray((k, k, b, oh, steps, span), np.float32, buf, 0,
+                     (row, 4 * cw, rows * row, s * row, 4 * q * cw, 4))
+    taps = np.zeros((k, k, npix, cw), dtype=np.float32)
+    taps[..., :c] = rng.normal((k, k, 1, c))
+    if not padded:
+        col = np.arange(k)[:, None] + q * np.arange(npix) - pl
+        taps[:, (col < 0) | (col >= w)] = 0.0
+    taps = taps.reshape(k, k, steps, span)
+    want = np.zeros((b, oh, steps, span), dtype=np.float32)
+    for ky in range(k):
+        for kx in range(k):
+            want += win[ky, kx] * taps[ky, kx]
+    got = np.einsum("ijbyxc,ijxc->byxc", win, taps)
+    assert got.tobytes() == want.tobytes(), f"stride {s}, step {q}"
 
 
 class TestActivations:

@@ -1,5 +1,6 @@
 import gc
 import io
+import json
 import tracemalloc
 
 import numpy as np
@@ -660,4 +661,35 @@ class TestGraphValidation:
             '\n' + line + '\n'
         )
         with pytest.raises(GraphError, match=r"^line 5: "):
+            ComputeGraph.load_jsonl(buf)
+
+    @pytest.mark.parametrize("records,line,match", [
+        ([("a", 1), ("a", 2)], 2, "duplicate tensor 'a'"),
+        ([("a", 1), ("b", -1)], 2, "negative size"),
+        ([("a", 1), ("f", ["a"], ["zzz"], 0)], 2, "unknown tensor"),
+        ([("a", 1), ("b", 1), ("f", ["a"], ["b"], 0), ("g", ["a"], ["b"], 0)],
+         4, "two producers"),
+        ([("a", 1), ("f", [], [], 0), ("f", ["a"], [], 0)], 3, "duplicate op"),
+        ([("f", ["a", "a"], [], 0), ("a", 1)], 1, "input twice"),
+        ([("a", 1), ("f", ["a"], [], -1)], 2, "negative workspace"),
+    ], ids=["duplicate-tensor", "negative-size", "unknown-tensor", "two-producers",
+            "duplicate-op", "input-twice", "negative-workspace"])
+    def test_graph_rule_jsonl_line_named(self, records, line, match):
+        # A well-formed file that breaks a graph rule names the offending
+        # record's line (of two duplicates, the second).
+        keys = {2: ("tensor", "name", "bytes"),
+                4: ("op", "name", "inputs", "outputs", "workspace")}
+        text = "".join(json.dumps(dict(zip(keys[len(r)][1:], r), kind=keys[len(r)][0])) + "\n"
+                       for r in records)
+        with pytest.raises(GraphError, match=rf"^line {line}: .*{match}"):
+            ComputeGraph.load_jsonl(io.StringIO(text))
+
+    def test_jsonl_cycle_has_no_line(self):
+        buf = io.StringIO(
+            '{"kind": "tensor", "name": "a", "bytes": 1}\n'
+            '{"kind": "tensor", "name": "b", "bytes": 1}\n'
+            '{"kind": "op", "name": "f", "inputs": ["a"], "outputs": ["b"]}\n'
+            '{"kind": "op", "name": "g", "inputs": ["b"], "outputs": ["a"]}\n'
+        )
+        with pytest.raises(GraphError, match=r"^compute graph contains a cycle$"):
             ComputeGraph.load_jsonl(buf)
