@@ -12,8 +12,10 @@ reads them from there.  A block without an expansion conv
 builder omits it exactly when the expanded width equals the input width,
 which is the ratio-1 first block of the network.
 
-``bottleneck_forward`` also runs a block one group of expanded channels
-at a time, the memory-efficient execution that ``memplan`` plans.
+A block owns its execution plan: ``bottleneck_forward`` runs every block
+as a ``CascadePlan``, contiguous groups of expanded channels, one group at
+a time.  The default plan is one group of all of them; a split plan is
+the memory-efficient execution whose working set ``memplan`` bounds.
 """
 
 from __future__ import annotations
@@ -91,34 +93,67 @@ class BottleneckParams:
         return self.stride == 1 and self.in_channels == self.out_channels
 
 
-def _group_stages(p: BottleneckParams, start: int, stop: int):
-    """(expand, depthwise, project) of expanded channels start..stop, as
-    views of the block's weights.  The projection bias is zero: the block
-    adds its own bias once, after the group sum."""
-    expand = None
-    if p.expand is not None:
-        expand = Conv2dParams(1, p.expand.weights[..., start:stop], p.expand.bias[start:stop])
+@dataclass(frozen=True)
+class CascadePlan:
+    """Contiguous partition of a block's expanded channels into execution
+    groups: non-empty ``(start, stop)`` ranges, the first from 0, each
+    starting where the one before it stops."""
+
+    groups: tuple[tuple[int, int], ...]
+
+    def __post_init__(self):
+        if not self.groups:
+            raise InvalidShapeError("cascade plan needs at least one group")
+        prev = 0
+        for start, stop in self.groups:
+            if start != prev or stop <= start:
+                raise InvalidShapeError(
+                    f"cascade groups must be contiguous and non-empty, got {self.groups}"
+                )
+            prev = stop
+
+    @property
+    def total_channels(self) -> int:
+        return self.groups[-1][1]
+
+    @property
+    def max_group(self) -> int:
+        return max(stop - start for start, stop in self.groups)
+
+    @classmethod
+    def from_split(cls, channels: int, split: int) -> "CascadePlan":
+        """``split`` equal groups of channels // split; the last group absorbs
+        the remainder."""
+        if split < 1:
+            raise InvalidShapeError(f"split must be >= 1, got {split}")
+        if split > channels:
+            raise InvalidShapeError(f"split {split} exceeds the {channels} expanded channels")
+        base = channels // split
+        bounds = [(i * base, (i + 1) * base) for i in range(split - 1)]
+        bounds.append(((split - 1) * base, channels))
+        return cls(tuple(bounds))
+
+
+def _group_forward(x, p: BottleneckParams, start: int, stop: int, tap):
+    """Projection of expanded channels start..stop, without its bias: expand
+    and depthwise, each ending in ReLU6, then project, all over views of the
+    block's weights.  Without an expansion conv the group reads its own input
+    channels.  A large expansion writes straight into the depthwise input plane."""
     depthwise = DepthwiseParams(p.stride, p.depthwise.weights[..., start:stop],
                                 p.depthwise.bias[start:stop])
-    project = Conv2dParams(1, p.project.weights[:, :, start:stop],
-                           np.zeros(p.out_channels, dtype=np.float32))
-    return expand, depthwise, project
-
-
-def _group_forward(x, expand, depthwise, project, tap):
-    """Projection of one group: expand and depthwise, each ending in ReLU6,
-    then project.  Without an expansion conv ``x`` is the group's own channels.
-    A large expansion writes straight into the depthwise input plane."""
-    inner = x
-    if expand is not None:
-        plane = depthwise_plane((*x.shape[:3], expand.out_channels),
-                                depthwise.kernel, depthwise.stride)
+    if p.expand is None:
+        inner = x[..., start:stop]
+    else:
+        expand = Conv2dParams(1, p.expand.weights[..., start:stop], p.expand.bias[start:stop])
+        plane = depthwise_plane((*x.shape[:3], stop - start), depthwise.kernel, p.stride)
         inner = conv2d(x, expand, activation="relu6", out=plane)
         if tap is not None:
             tap("expand", inner)
     inner = depthwise_conv(inner, depthwise, activation="relu6")
     if tap is not None:
         tap("depthwise", inner)
+    project = Conv2dParams(1, p.project.weights[:, :, start:stop],
+                           np.zeros(p.out_channels, dtype=np.float32))
     return conv2d(inner, project)
 
 
@@ -126,36 +161,36 @@ def bottleneck_forward(
     x: np.ndarray,
     p: BottleneckParams,
     tap: Tap | None = None,
-    groups: tuple[tuple[int, int], ...] | None = None,
+    plan: CascadePlan | None = None,
 ) -> np.ndarray:
-    """Run one block; output shape (b, ceil(h/s), ceil(w/s), out_channels).
+    """Run one block as the channel groups of ``plan``; output shape
+    (b, ceil(h/s), ceil(w/s), out_channels).
 
-    ``groups`` is a contiguous partition of the expanded channels into
-    ``(start, stop)`` ranges; the default is one range over all of them.
-    The inner stages act per channel, so the block equals the sum over
-    groups of each group's projection, and only one group-sized inner
-    tensor is alive at a time.  One group runs the block's own stage
-    parameters, so its projection adds the bias itself; several sum their
-    projections in group order in float32 and add the projection bias once
-    after the sum.  The shortcut joins last.  ``tap`` fires once per group.
+    The default plan is one group of all the expanded channels, and a plan
+    must end at the block's expanded width.  The inner stages act per
+    channel, so the block equals the sum over groups of each group's
+    projection, at the same MAdds, and only one group-sized inner tensor is
+    alive at a time.  The first group's projection starts the float32 sum
+    and the later ones are added in group order; the projection bias is
+    added once after the sum, then the shortcut.  ``tap`` fires once per group.
     """
     assert_activation(x, "bottleneck input")
     if x.shape[3] != p.in_channels:
         raise ChannelMismatchError(
             f"block expects {p.in_channels} input channels, got {x.shape[3]}"
         )
-    if groups is None or len(groups) == 1:
-        out = _group_forward(x, p.expand, p.depthwise, p.project, tap)
-    else:
-        b, h, w, _ = x.shape
-        s = p.stride
-        out = np.zeros((b, -(-h // s), -(-w // s), p.out_channels), dtype=np.float32)
-        for start, stop in groups:
-            expand, depthwise, project = _group_stages(p, start, stop)
-            group_x = x if expand is not None else x[:, :, :, start:stop]
-            # The projection is a temporary: it is freed before the next group.
-            out += _group_forward(group_x, expand, depthwise, project, tap)
-        out += p.project.bias
+    if plan is None:
+        plan = CascadePlan(((0, p.expanded_channels),))
+    elif plan.total_channels != p.expanded_channels:
+        raise InvalidShapeError(
+            f"plan covers {plan.total_channels} channels, block has {p.expanded_channels}"
+        )
+    groups = iter(plan.groups)
+    out = _group_forward(x, p, *next(groups), tap)
+    for start, stop in groups:
+        # The projection is a temporary: it is freed before the next group.
+        out += _group_forward(x, p, start, stop, tap)
+    out += p.project.bias
     if p.use_shortcut:
         out += x
     return out

@@ -59,8 +59,6 @@ class CostRow:
 
 @dataclass
 class CostReport:
-    resolution: int
-    width_multiplier: float
     rows: list[CostRow]
 
     @property
@@ -101,6 +99,5 @@ def _cost_row(r: LayerRecord) -> CostRow:
 
 def model_cost(spec: ModelSpec) -> CostReport:
     """Per-layer table plus totals for the network ``spec`` describes."""
-    rows = [_cost_row(r) for r in layer_walk(spec)]
-    return CostReport(spec.resolution, spec.width_multiplier, rows)
+    return CostReport([_cost_row(r) for r in layer_walk(spec)])
 

@@ -124,6 +124,11 @@ class DepthwiseParams(_StageParams):
         return self.weights.shape[2]
 
 
+def _check_activation(activation: str) -> None:
+    if activation not in ("none", "relu6"):
+        raise ValueError(f"activation must be 'none' or 'relu6', got {activation!r}")
+
+
 def same_pad_amounts(size: int, kernel: int, stride: int) -> tuple[int, int, int]:
     """(out_size, pad_begin, pad_end) for SAME padding along one axis."""
     out = -(-size // stride)  # ceil division
@@ -145,6 +150,7 @@ def conv2d(x: np.ndarray, p: Conv2dParams, *, activation: str = "none",
            out: np.ndarray | None = None) -> np.ndarray:
     """Cross-correlation with SAME padding; output (b, ceil(h/s), ceil(w/s), d_out).
     ``out`` (a ``depthwise_plane`` interior) takes one matmul per image."""
+    _check_activation(activation)
     assert_activation(x, "conv2d input")
     b, h, w, c = x.shape
     if c != p.in_channels:
@@ -204,6 +210,7 @@ def depthwise_plane(shape: tuple[int, int, int, int], kernel: int, stride: int):
 
 def depthwise_conv(x: np.ndarray, p: DepthwiseParams, *, activation: str = "none") -> np.ndarray:
     """Per-channel spatial filter; output channel c depends only on input channel c."""
+    _check_activation(activation)
     assert_activation(x, "depthwise input")
     b, h, w, c = x.shape
     if c != p.channels:

@@ -25,10 +25,11 @@ Three related tools live here:
   undo.  Candidates are tried in ascending op index, and the search
   keeps the first order that reaches the smallest peak.
 
-* ``CascadePlan`` partitions a bottleneck block's expanded channels into
-  groups, and ``cascade_peak_bytes`` bounds the working set of running
-  the block one group at a time.  ``blocks.bottleneck_forward`` executes
-  the plan (``cascade_execute`` hands it the groups): because the inner
+* ``cascade_peak_bytes`` bounds the working set of running a bottleneck
+  block one group of expanded channels at a time.  The block owns the
+  plan: ``CascadePlan`` lives in ``blocks`` and is imported here, and
+  ``blocks.bottleneck_forward`` checks and executes it, so
+  ``cascade_execute`` is that run plus the bound.  Because the inner
   stages act per-channel, the block output equals the sum over groups of
   (project o inner o expand) applied to each group's slice, so only one
   group-sized inner tensor is ever materialized.  The multiply-add count
@@ -52,7 +53,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .blocks import BottleneckParams, bottleneck_forward
+from .blocks import BottleneckParams, CascadePlan, bottleneck_forward
 from .errors import GraphError, GraphTooLargeError, InvalidShapeError
 # Not called here; perfbench/tracing.py patches these names on this module.
 from .kernels import conv2d, depthwise_conv, relu6  # noqa: F401
@@ -382,47 +383,6 @@ def linear_bound_memory(g: ComputeGraph) -> int:
     return max(_walk(g, _only)[1], default=0)
 
 
-@dataclass(frozen=True)
-class CascadePlan:
-    """Contiguous partition of the expanded channels into execution groups."""
-
-    groups: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        if not self.groups:
-            raise InvalidShapeError("cascade plan needs at least one group")
-        prev = 0
-        for start, stop in self.groups:
-            if start != prev or stop <= start:
-                raise InvalidShapeError(
-                    f"cascade groups must be contiguous and non-empty, got {self.groups}"
-                )
-            prev = stop
-
-    @property
-    def total_channels(self) -> int:
-        return self.groups[-1][1]
-
-    @property
-    def max_group(self) -> int:
-        return max(stop - start for start, stop in self.groups)
-
-    @classmethod
-    def from_split(cls, channels: int, split: int) -> "CascadePlan":
-        """``split`` equal groups of channels // split; the last group absorbs
-        the remainder."""
-        if split < 1:
-            raise InvalidShapeError(f"split must be >= 1, got {split}")
-        if split > channels:
-            raise InvalidShapeError(
-                f"split {split} exceeds the {channels} expanded channels"
-            )
-        base = channels // split
-        bounds = [(i * base, (i + 1) * base) for i in range(split - 1)]
-        bounds.append(((split - 1) * base, channels))
-        return cls(tuple(bounds))
-
-
 def cascade_peak_bytes(
     p: BottleneckParams | LayerRecord,
     h: int,
@@ -452,14 +412,11 @@ def cascade_execute(
     """Split execution of one block; returns (output, planned peak
     working-set bytes from ``cascade_peak_bytes``).
 
-    ``blocks.bottleneck_forward`` runs the block over the plan's groups, so
-    a single-group plan is exactly the monolithic result.
+    ``blocks.bottleneck_forward`` runs the block over the plan's groups and
+    checks the plan's width, so a single-group plan is exactly the
+    monolithic result.
     """
-    if plan.total_channels != p.expanded_channels:
-        raise InvalidShapeError(
-            f"plan covers {plan.total_channels} channels, block has {p.expanded_channels}"
-        )
-    out = bottleneck_forward(x, p, groups=plan.groups)
+    out = bottleneck_forward(x, p, plan=plan)
     b, h, w, _ = x.shape
     return out, cascade_peak_bytes(p, h, w, plan, bytes_per_activation=4, batch=b)
 

@@ -55,6 +55,11 @@ def test_traced_names_resolve(owner, name):
     assert callable(getattr(owner, name))
 
 
+def test_cascade_plan_is_the_blocks_plan():
+    # The CLI, the tests and perfbench's adapter build plans from memplan.
+    assert memplan.CascadePlan is blocks.CascadePlan
+
+
 def test_adapter_tags_every_stage(adapters):
     infer = object.__new__(adapters.Infer)
     infer.spec = model.ModelSpec(resolution=96, width_multiplier=0.35)

@@ -3,6 +3,7 @@ import pytest
 
 from bottlenet.blocks import (
     BottleneckParams,
+    CascadePlan,
     bottleneck_forward,
     expanded_width,
 )
@@ -90,6 +91,21 @@ class TestForward:
         p.project.bias[...] *= 2.0
         doubled = bottleneck_forward(x, p)
         assert max_abs_rel_diff(doubled, 2.0 * base) <= 1e-6
+
+
+class TestPlan:
+    # 48 expanded channels with an expansion conv, 8 without one.
+    @pytest.mark.parametrize("t", [6, 1])
+    @pytest.mark.parametrize("groups", [
+        ((0, 5),),                  # one group that stops short
+        ((0, 4), (4, 7)),           # several that stop short
+        ((0, 4), (4, 50)),          # past the expanded width
+    ], ids=["short", "short-split", "past"])
+    def test_plan_must_end_at_expanded_width(self, t, groups):
+        p = fill_positive(make_bottleneck(8, 8, t, 1), Rng(71))
+        x = Rng(72).uniform((1, 5, 5, 8), 0.0, 1.0)
+        with pytest.raises(InvalidShapeError, match="block has"):
+            bottleneck_forward(x, p, plan=CascadePlan(groups))
 
 
 class TestMadds:

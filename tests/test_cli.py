@@ -487,12 +487,29 @@ def capped(cap: int):
     return st.integers(-2, cap).map(str) | HOSTILE.filter(lambda s: _within(s, cap))
 
 
+def _not_above(text: str, cap: float) -> bool:
+    """False when ``text`` parses as a number above cap."""
+    try:
+        return not float(text) > cap
+    except ValueError:
+        return True
+
+
+def plausible(values, cap: float | None = None):
+    """One of ``values`` seven draws in eight, else a hostile string that
+    does not parse as a number above ``cap``."""
+    hostile = HOSTILE if cap is None else HOSTILE.filter(lambda s: _not_above(s, cap))
+    return st.integers(0, 7).flatmap(lambda i: hostile if i == 7 else st.sampled_from(values))
+
+
+def flags(required, optional):
+    """The argv of drawn flag values; a value drawn as None is a bare switch."""
+    return st.fixed_dictionaries(required, optional=optional).map(
+        lambda d: [x for k, v in d.items() for x in ((k,) if v is None else (k, v))])
+
+
 def argv(dump_dir):
     """A subcommand and its flags, each flag absent, plausible or hostile."""
-    def flags(required, optional):
-        return st.fixed_dictionaries(required, optional=optional).map(
-            lambda d: [x for kv in d.items() for x in kv])
-
     model = {
         "--alpha": st.sampled_from(["0.35", "0.5", "1.0", "1.4"]) | HOSTILE,
         "--res": st.sampled_from(["96", "160", "224"]) | HOSTILE,
@@ -522,12 +539,36 @@ def argv(dump_dir):
         lambda c: commands[c].map(lambda tail: [*c.split(), *tail]))
 
 
-@settings(max_examples=400, deadline=None)
-@given(data=st.data())
-def test_argv_fuzz_keeps_the_cli_contract(fuzz_dir, repo_root, data):
-    # Any argv: exit 0, 2, 3 or 4, no traceback, nothing on stdout unless
-    # the command succeeded, and --format json output valid by its schema.
-    args = data.draw(argv(fuzz_dir))
+def model_argv(fuzz_dir):
+    """``infer`` or ``theory activations`` on the smallest model, each flag
+    absent, plausible or hostile; the width, resolution, classes, batch
+    and split are capped, and every path is under ``fuzz_dir``."""
+    names = st.text(argv_chars("/"), max_size=8)
+    path, out = (s.map(lambda n: str(fuzz_dir / n)) for s in (names, names.filter(bool)))
+    model = {"--alpha": plausible(["0.35"], 0.35), "--res": plausible(["96"], 96)}
+    common = {
+        "--classes": plausible(["1", "10"], 1000),
+        "--format": plausible(cli.FORMATS),
+        "--weights": path,
+        "--seed": plausible(["0", "3"]),
+        "--input-seed": plausible(["1", "6"]),
+    }
+    commands = {
+        "infer": flags(
+            {**model, "--random-weights": st.none(), "--random-input": st.none(),
+             "--out": out},
+            {**common, "--input": path, "--split": plausible(["1", "2", "8"], 8)}),
+        "theory activations": flags(model, {
+            **common, "--batch": plausible(["1", "2", "4"], 4), "--per-map": st.none(),
+        }),
+    }
+    return st.sampled_from(sorted(commands)).flatmap(
+        lambda c: commands[c].map(lambda tail: [*c.split(), *tail]))
+
+
+def assert_cli_contract(args, repo_root):
+    """Exit 0, 2, 3 or 4, no traceback, nothing on stdout unless the command
+    succeeded, and --format json output valid by its schema."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(args)
@@ -538,3 +579,16 @@ def test_argv_fuzz_keeps_the_cli_contract(fuzz_dir, repo_root, data):
     elif "--format" in args and args[args.index("--format") + 1] == "json":
         payload = json.loads(out.getvalue())
         validate(payload, payload["command"].replace("-", "_") + ".schema.json", repo_root)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_argv_fuzz_keeps_the_cli_contract(fuzz_dir, repo_root, data):
+    assert_cli_contract(data.draw(argv(fuzz_dir)), repo_root)
+
+
+# About half the draws build and run a model (alpha 0.35, 96 px): 10-20 s in all.
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_model_argv_fuzz_keeps_the_cli_contract(fuzz_dir, repo_root, data):
+    assert_cli_contract(data.draw(model_argv(fuzz_dir)), repo_root)

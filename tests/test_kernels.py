@@ -448,6 +448,19 @@ class TestFusedEpilogue:
         with pytest.raises(TypeError):
             kernel(new_tensor((1, 4, 4, 2), 1.0), stage, "relu6")
 
+    @pytest.mark.parametrize("activation", ["relu", "ReLU6", "relu6 ", "", None])
+    @pytest.mark.parametrize("kernel,stage", [
+        (conv2d, Conv2dParams(1, np.ones((3, 3, 1, 1)), np.zeros(1))),
+        (depthwise_conv, DepthwiseParams(1, np.ones((3, 3, 1)), np.zeros(1))),
+    ])
+    def test_unknown_activation_rejected(self, kernel, stage, activation):
+        # An unknown name once skipped the clamp silently: the centre of an
+        # all-9 input through 3x3 ones came out 81.0, not ReLU6's 6.0.
+        x = new_tensor((1, 3, 3, 1), 9.0)
+        assert kernel(x, stage, activation="relu6")[0, 1, 1, 0] == 6.0
+        with pytest.raises(ValueError, match=repr(activation)):
+            kernel(x, stage, activation=activation)
+
 
 class TestAvgpool:
     def test_constant(self):

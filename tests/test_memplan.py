@@ -455,7 +455,7 @@ class TestGroupExecutor:
         inner = p.expanded_channels
         plan = CascadePlan.from_split(inner, inner if split == "inner" else split)
         got, peak = cascade_execute(x, p, plan)
-        grouped = bottleneck_forward(x, p, groups=plan.groups)
+        grouped = bottleneck_forward(x, p, plan=plan)
         if len(plan.groups) == 1:
             want = seed_bottleneck_forward(x, p)
             assert bottleneck_forward(x, p).tobytes() == want.tobytes()
