@@ -13,9 +13,10 @@ builder omits it exactly when the expanded width equals the input width,
 which is the ratio-1 first block of the network.
 
 A block owns its execution plan: ``bottleneck_forward`` runs every block
-as a ``CascadePlan``, contiguous groups of expanded channels, one group at
-a time.  The default plan is one group of all of them; a split plan is
-the memory-efficient execution whose working set ``memplan`` bounds.
+as a ``CascadePlan``, the paper's t: its expanded channels split into t
+groups of channels // t (the last takes the remainder), one group at a
+time.  The default plan is t = 1; a split plan is the memory-efficient
+execution whose working set ``memplan`` bounds.
 """
 
 from __future__ import annotations
@@ -95,43 +96,30 @@ class BottleneckParams:
 
 @dataclass(frozen=True)
 class CascadePlan:
-    """Contiguous partition of a block's expanded channels into execution
-    groups: non-empty ``(start, stop)`` ranges, the first from 0, each
-    starting where the one before it stops."""
+    """The paper's t: a block's expanded channels run as ``split`` groups of
+    channels // split, the last group taking the remainder."""
 
-    groups: tuple[tuple[int, int], ...]
+    channels: int
+    split: int = 1
 
     def __post_init__(self):
-        if not self.groups:
-            raise InvalidShapeError("cascade plan needs at least one group")
-        prev = 0
-        for start, stop in self.groups:
-            if start != prev or stop <= start:
-                raise InvalidShapeError(
-                    f"cascade groups must be contiguous and non-empty, got {self.groups}"
-                )
-            prev = stop
+        if not 1 <= self.split <= self.channels:
+            raise InvalidShapeError(
+                f"split must be in [1, {self.channels}], got {self.split}")
 
     @property
-    def total_channels(self) -> int:
-        return self.groups[-1][1]
+    def groups(self) -> tuple[tuple[int, int], ...]:
+        starts = [i * (self.channels // self.split) for i in range(self.split)]
+        return tuple(zip(starts, [*starts[1:], self.channels]))
 
     @property
     def max_group(self) -> int:
-        return max(stop - start for start, stop in self.groups)
+        return self.channels - (self.split - 1) * (self.channels // self.split)
 
     @classmethod
     def from_split(cls, channels: int, split: int) -> "CascadePlan":
-        """``split`` equal groups of channels // split; the last group absorbs
-        the remainder."""
-        if split < 1:
-            raise InvalidShapeError(f"split must be >= 1, got {split}")
-        if split > channels:
-            raise InvalidShapeError(f"split {split} exceeds the {channels} expanded channels")
-        base = channels // split
-        bounds = [(i * base, (i + 1) * base) for i in range(split - 1)]
-        bounds.append(((split - 1) * base, channels))
-        return cls(tuple(bounds))
+        """A ``split``-way plan, at most one group per channel."""
+        return cls(channels, min(split, channels))
 
 
 def _group_forward(x, p: BottleneckParams, start: int, stop: int, tap):
@@ -180,10 +168,10 @@ def bottleneck_forward(
             f"block expects {p.in_channels} input channels, got {x.shape[3]}"
         )
     if plan is None:
-        plan = CascadePlan(((0, p.expanded_channels),))
-    elif plan.total_channels != p.expanded_channels:
+        plan = CascadePlan(p.expanded_channels)
+    elif plan.channels != p.expanded_channels:
         raise InvalidShapeError(
-            f"plan covers {plan.total_channels} channels, block has {p.expanded_channels}"
+            f"plan covers {plan.channels} channels, block has {p.expanded_channels}"
         )
     groups = iter(plan.groups)
     out = _group_forward(x, p, *next(groups), tap)

@@ -148,13 +148,12 @@ def cmd_memory_plan(args) -> int:
     if args.split is not None:
         block = next(r for r in layer_walk(spec) if r.kind == "block")
         h = block.in_shape[0]
-        split = min(args.split, block.inner)
-        plan = CascadePlan.from_split(block.inner, split)
+        plan = CascadePlan.from_split(block.inner, args.split)
         first_block = {
-            "split": split,
+            "split": plan.split,
             "peak_bytes": cascade_peak_bytes(block, h, h, plan, bytes_per_activation=bpa),
         }
-        rows.append([f"first-block split={split}", "",
+        rows.append([f"first-block split={plan.split}", "",
                      f"{first_block['peak_bytes'] / 1000.0:.3f}", ""])
     payload = {
         "command": "memory-plan",
@@ -220,8 +219,7 @@ def cmd_infer(args) -> int:
     runner = None
     if args.split is not None:
         def runner(t, p, _s=args.split):
-            plan = CascadePlan.from_split(p.expanded_channels,
-                                          min(_s, p.expanded_channels))
+            plan = CascadePlan.from_split(p.expanded_channels, _s)
             return cascade_execute(t, p, plan)[0]
     logits = model.forward(x, block_runner=runner)
     save_tensor(args.out, logits)
@@ -424,6 +422,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: not enough memory for the requested sizes", file=sys.stderr)
         return 2
     except (TensorFormatError, WeightFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

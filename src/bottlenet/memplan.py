@@ -27,7 +27,8 @@ Three related tools live here:
 
 * ``cascade_peak_bytes`` bounds the working set of running a bottleneck
   block one group of expanded channels at a time.  The block owns the
-  plan: ``CascadePlan`` lives in ``blocks`` and is imported here, and
+  plan: ``CascadePlan``, the paper's t (t groups of channels // t, the
+  last taking the remainder), lives in ``blocks`` and is imported here, and
   ``blocks.bottleneck_forward`` checks and executes it, so
   ``cascade_execute`` is that run plus the bound.  Because the inner
   stages act per-channel, the block output equals the sum over groups of

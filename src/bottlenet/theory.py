@@ -51,18 +51,12 @@ def relu_interior_identity_check(points: np.ndarray) -> bool:
     return bool(np.array_equal(np.maximum(pts, 0.0), pts))
 
 
-def _rank_pivoted_qr(mat: np.ndarray, rtol: float = RANK_RTOL) -> int:
-    """Numerical rank via column-pivoted QR; tolerance relative to the
-    largest diagonal entry of R (a constant-factor proxy for sigma_max)."""
-    from scipy.linalg import qr
-
+def _rank(mat: np.ndarray, rtol: float = RANK_RTOL) -> int:
+    """Numerical rank: the singular values above ``rtol`` times the largest."""
     if mat.size == 0:
         return 0
-    r = qr(mat, mode="r", pivoting=True)[0]
-    diag = np.abs(np.diag(r))
-    if diag.size == 0 or diag[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(diag > rtol * diag[0]))
+    sv = np.linalg.svd(mat, compute_uv=False)
+    return int(np.count_nonzero(sv > rtol * sv[0]))
 
 
 def invertibility_condition(B: np.ndarray, y0: np.ndarray) -> bool:
@@ -79,7 +73,7 @@ def invertibility_condition(B: np.ndarray, y0: np.ndarray) -> bool:
     active = np.flatnonzero(y0 != 0.0)
     if active.size < n:
         return False
-    return _rank_pivoted_qr(B[active]) == n
+    return _rank(B[active]) == n
 
 
 def recover_input(B: np.ndarray, y0: np.ndarray) -> np.ndarray:

@@ -158,9 +158,9 @@ def seed_cascade_execute(
     after all groups, the shortcut last."""
     assert_activation(x, "cascade input")
     inner_total = p.expanded_channels
-    if plan.total_channels != inner_total:
+    if plan.channels != inner_total:
         raise InvalidShapeError(
-            f"plan covers {plan.total_channels} channels, block has {inner_total}"
+            f"plan covers {plan.channels} channels, block has {inner_total}"
         )
     b, h, w, _ = x.shape
     oh = -(-h // p.stride)

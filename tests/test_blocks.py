@@ -96,16 +96,16 @@ class TestForward:
 class TestPlan:
     # 48 expanded channels with an expansion conv, 8 without one.
     @pytest.mark.parametrize("t", [6, 1])
-    @pytest.mark.parametrize("groups", [
-        ((0, 5),),                  # one group that stops short
-        ((0, 4), (4, 7)),           # several that stop short
-        ((0, 4), (4, 50)),          # past the expanded width
+    @pytest.mark.parametrize("channels, split", [
+        (5, 1),                     # one group that stops short
+        (7, 2),                     # several that stop short
+        (50, 2),                    # past the expanded width
     ], ids=["short", "short-split", "past"])
-    def test_plan_must_end_at_expanded_width(self, t, groups):
+    def test_plan_must_end_at_expanded_width(self, t, channels, split):
         p = fill_positive(make_bottleneck(8, 8, t, 1), Rng(71))
         x = Rng(72).uniform((1, 5, 5, 8), 0.0, 1.0)
         with pytest.raises(InvalidShapeError, match="block has"):
-            bottleneck_forward(x, p, plan=CascadePlan(groups))
+            bottleneck_forward(x, p, plan=CascadePlan(channels, split))
 
 
 class TestMadds:

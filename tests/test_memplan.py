@@ -365,15 +365,15 @@ class TestCascade:
         sizes = [stop - start for start, stop in plan.groups]
         assert sizes == [76, 76, 76, 76, 80]
         assert plan.max_group == 80
-        assert plan.total_channels == 384
+        assert plan.channels == 384
+        assert plan.split == 5
+        # More groups than channels clamps to one channel per group.
+        assert CascadePlan.from_split(8, 9).groups == tuple((i, i + 1) for i in range(8))
 
     def test_plan_validation(self):
-        with pytest.raises(InvalidShapeError):
-            CascadePlan.from_split(8, 9)  # more groups than channels
-        with pytest.raises(InvalidShapeError):
-            CascadePlan(((0, 4), (5, 8)))  # gap
-        with pytest.raises(InvalidShapeError):
-            CascadePlan(((0, 4), (2, 8)))  # overlap
+        for split in (0, -1, 9):
+            with pytest.raises(InvalidShapeError):
+                CascadePlan(8, split)
 
     def test_single_group_is_monolithic(self):
         p, x = positive_block()
