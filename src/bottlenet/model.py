@@ -188,45 +188,37 @@ class Model:
                 x = global_avgpool(x)
         return x
 
-    def parameters(self) -> Iterator[tuple[str, np.ndarray]]:
-        """All parameter arrays in schema order."""
+    def stages(self) -> Iterator[tuple[str, Conv2dParams | DepthwiseParams]]:
+        """Every convolution stage as (name, stage), in schema order."""
         for layer in self.layers:
             if isinstance(layer, ConvLayer):
-                yield f"{layer.name}.weight", layer.params.weights
-                yield f"{layer.name}.bias", layer.params.bias
+                yield layer.name, layer.params
             elif isinstance(layer, BottleneckLayer):
                 p = layer.params
                 if p.expand is not None:
-                    yield f"{layer.name}.expand.weight", p.expand.weights
-                    yield f"{layer.name}.expand.bias", p.expand.bias
-                yield f"{layer.name}.depthwise.weight", p.depthwise.weights
-                yield f"{layer.name}.depthwise.bias", p.depthwise.bias
-                yield f"{layer.name}.project.weight", p.project.weights
-                yield f"{layer.name}.project.bias", p.project.bias
+                    yield f"{layer.name}.expand", p.expand
+                yield f"{layer.name}.depthwise", p.depthwise
+                yield f"{layer.name}.project", p.project
 
-    def parameter_schema(self) -> list[tuple[str, tuple[int, ...]]]:
-        return [(name, tuple(arr.shape)) for name, arr in self.parameters()]
-
-    def set_parameters(self, values: dict[str, np.ndarray]) -> None:
-        """Overwrite every parameter array in place; keys must cover the schema."""
-        for name, arr in self.parameters():
-            arr[...] = values[name]
+    def parameters(self) -> Iterator[tuple[str, np.ndarray]]:
+        """All parameter arrays in schema order."""
+        for name, stage in self.stages():
+            yield f"{name}.weight", stage.weights
+            yield f"{name}.bias", stage.bias
 
     def randomize(self, rng: Rng) -> "Model":
         """Standard fresh-start state: fan-in-scaled Gaussian weights and
         small sign-symmetric uniform biases (the usual framework default;
         exactly-zero biases would make dead depthwise patches land on 0.0
-        and skew sign statistics)."""
-        fan_ins: dict[str, int] = {}
-        for name, arr in self.parameters():
-            if name.endswith(".weight"):
-                fan = int(np.prod(arr.shape[:-1]))
-                fan_ins[name.removesuffix(".weight")] = fan
-                arr[...] = rng.normal(arr.shape, stddev=np.sqrt(2.0 / fan))
-        for name, arr in self.parameters():
-            if name.endswith(".bias"):
-                bound = 1.0 / np.sqrt(fan_ins[name.removesuffix(".bias")])
-                arr[...] = rng.uniform(arr.shape, -bound, bound)
+        and skew sign statistics).  Every weight is drawn, in schema
+        order, before any bias."""
+        stages = [stage for _, stage in self.stages()]
+        fan_ins = [int(np.prod(s.weights.shape[:-1])) for s in stages]
+        for s, fan in zip(stages, fan_ins):
+            s.weights[...] = rng.normal(s.weights.shape, stddev=np.sqrt(2.0 / fan))
+        for s, fan in zip(stages, fan_ins):
+            bound = 1.0 / np.sqrt(fan)
+            s.bias[...] = rng.uniform(s.bias.shape, -bound, bound)
         return self
 
 

@@ -27,9 +27,8 @@ from math import comb
 
 import numpy as np
 
-from .blocks import BottleneckParams
 from .errors import NotInvertibleError, ShapeMismatchError
-from .model import BottleneckLayer, ConvLayer, Model
+from .model import Model, layer_walk
 from .tensor import Rng
 
 RANK_RTOL = 1e-8
@@ -206,14 +205,8 @@ def activation_pattern_stats(
     floor: the width of the tensor feeding the layer's block, i.e.
     channels / t for an expansion-t block.
     """
-    thresholds: dict[str, float] = {}
-    for layer in model.layers:
-        if isinstance(layer, ConvLayer) and layer.activation == "relu6":
-            thresholds[layer.name] = float(layer.params.in_channels)
-        elif isinstance(layer, BottleneckLayer):
-            p: BottleneckParams = layer.params
-            thresholds[f"{layer.name}.expand"] = float(p.in_channels)
-            thresholds[f"{layer.name}.depthwise"] = float(p.in_channels)
+    # Tap names are "<layer>" or "<layer>.<stage>".
+    in_channels = {r.name: r.in_channels for r in layer_walk(model.spec)}
     stats: list[LayerActivation] = []
 
     def tap(name: str, t: np.ndarray) -> None:
@@ -226,7 +219,7 @@ def activation_pattern_stats(
             index=len(stats),
             name=name,
             channels=t.shape[3],
-            threshold=thresholds[name],
+            threshold=float(in_channels[name.partition(".")[0]]),
             min_count=float(counts.min()),
             mean_count=float(counts.mean()),
             max_count=float(counts.max()),

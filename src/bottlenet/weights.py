@@ -6,10 +6,10 @@ rank u32 dims.  After the manifest comes the payload: the concatenated
 float32 data of every entry in manifest order.
 
 Unpacking rejects a payload of the wrong length or with a non-finite
-value.  Loading validates the manifest against the model's parameter
-schema (names and shapes, in order) before touching any model state, so
-a failed load never leaves a half-mutated model.  It checks views of the
-file's bytes and copies each tensor once, into the model.
+value.  Loading checks every manifest name and shape against the model's
+parameters, in order, before its first copy, so a failed load never
+leaves a half-mutated model.  It checks views of the file's bytes and
+copies each tensor once, into the model.
 """
 
 from __future__ import annotations
@@ -103,21 +103,22 @@ def load_weights(model: Model, path) -> Model:
     """Populate ``model`` from a container file; validates before mutating."""
     with open(path, "rb") as fp:
         entries = _container_views(fp.read())  # copied once, into the model
-    schema = model.parameter_schema()
-    if len(entries) != len(schema):
+    params = list(model.parameters())
+    if len(entries) != len(params):
         raise WeightNameError(
-            f"container has {len(entries)} tensors, model expects {len(schema)}"
+            f"container has {len(entries)} tensors, model expects {len(params)}"
         )
-    for (got_name, arr), (want_name, want_shape) in zip(entries, schema):
+    for (got_name, arr), (want_name, want) in zip(entries, params):
         if got_name != want_name:
             raise WeightNameError(
                 f"tensor name mismatch: container has {got_name!r}, "
                 f"model expects {want_name!r}"
             )
-        if tuple(arr.shape) != want_shape:
+        if arr.shape != want.shape:
             raise WeightShapeError(
-                f"tensor {got_name!r} has shape {tuple(arr.shape)}, "
-                f"model expects {want_shape}"
+                f"tensor {got_name!r} has shape {arr.shape}, "
+                f"model expects {want.shape}"
             )
-    model.set_parameters(dict(entries))
+    for (_, arr), (_, want) in zip(entries, params):
+        want[...] = arr
     return model

@@ -4,11 +4,13 @@
 ``getattr``/``setattr`` on the module that binds them, so a name a module
 no longer calls (``memplan``'s kernel imports, ``blocks.add_residual``)
 must still be importable there, or ``perfbench/run.py --trace 1`` fails.
-``perfbench/adapters.py`` tags each block by walking ``spec.stages``.
+``perfbench/adapters.py`` tags each block by walking ``spec.stages``, and
+its infer setup saves seeded weights that its ``Infer`` then loads.
 """
 
 import importlib
 
+import numpy as np
 import pytest
 
 from bottlenet import blocks, costs, kernels, memplan, model, weights
@@ -43,6 +45,13 @@ def adapters(repo_root):
         yield importlib.import_module("adapters")
 
 
+@pytest.fixture(scope="module")
+def worker(repo_root):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(repo_root / "perfbench"))
+        yield importlib.import_module("worker")
+
+
 def test_kernel_bindings_resolve_to_the_kernels(tracing):
     for module, names in tracing.KERNEL_BINDINGS.items():
         for name in names:
@@ -67,6 +76,19 @@ def test_adapter_tags_every_stage(adapters):
     tags = list(infer.layer_tags().values())
     assert [tags.count(f"stage{i}") for i in range(1, 8)] == [1, 2, 3, 4, 3, 3, 1]
     assert {"stem", "head", "classifier"} <= set(tags)
+
+
+@pytest.mark.parametrize("split", [None, 8])
+def test_infer_setup_saves_and_loads_the_weights(adapters, worker, tmp_path, split):
+    # The benchmark's infer setup path: prepare_infer randomizes and saves
+    # the weights, Infer loads them; the first input's logits must pass the
+    # worker's check against the saved float64 reference.
+    cfg = dict(kind="infer", alpha=0.35, res=96, batch=1, split=split, threads=1)
+    adapters.prepare_infer(cfg, 1, tmp_path)
+    out = adapters.Infer(cfg, tmp_path).call(0)
+    ref = np.load(tmp_path / "reference0.npy")
+    err = np.max(np.abs(out.reshape(ref.shape) - ref)) / np.max(np.abs(ref))
+    assert err <= worker.LOGIT_TOLERANCE
 
 
 def traced_forward(tracing, spec, batch, split):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -144,6 +146,25 @@ class TestForward:
         x = random_gaussian((1, 96, 96, 3), Rng(8))
         assert np.array_equal(a.forward(x), b.forward(x))
 
+    def test_randomize_draw_order(self):
+        # Every weight in schema order from N(0, sqrt(2 / fan_in)), then
+        # every bias from U(-1/sqrt(fan_in), 1/sqrt(fan_in)), where fan_in is
+        # the product of the weights' shape without its last axis.
+        spec = ModelSpec(resolution=96, width_multiplier=0.35)
+        names, arrays = zip(*build_model(spec).parameters())
+        assert all(n.endswith(".weight") for n in names[0::2])
+        assert all(n.endswith(".bias") for n in names[1::2])
+        weights, biases = arrays[0::2], arrays[1::2]
+        fans = [math.prod(w.shape[:-1]) for w in weights]
+        rng = Rng(7)
+        drawn_weights = [rng.normal(w.shape, stddev=np.sqrt(2.0 / fan))
+                         for w, fan in zip(weights, fans)]
+        drawn_biases = [rng.uniform(b.shape, -1.0 / np.sqrt(fan), 1.0 / np.sqrt(fan))
+                        for b, fan in zip(biases, fans)]
+        expected = [a.tobytes() for pair in zip(drawn_weights, drawn_biases) for a in pair]
+        got = [a.tobytes() for _, a in build_model(spec).randomize(Rng(7)).parameters()]
+        assert got == expected
+
 
 WALK_ALPHAS = (0.35, 0.5, 0.75, 1.0, 1.3, 1.4)
 WALK_RESOLUTIONS = (96, 128, 160, 192, 224)
@@ -176,7 +197,7 @@ class TestLayerWalk:
         model = build_model(spec)
         assert [l.name for l in model.layers] == [r.name for r in walk]
         assert [r.out_shape for r in model_cost(spec).rows] == [r.out_shape for r in walk]
-        assert model.parameter_schema() == schema_from_walk(walk)
+        assert [(n, a.shape) for n, a in model.parameters()] == schema_from_walk(walk)
         assert walk[0].in_shape == (res, res, 3)
         assert all(a.out_shape == b.in_shape for a, b in zip(walk, walk[1:]))
         kinds = {ConvLayer: "conv", BottleneckLayer: "block", PoolLayer: "pool"}

@@ -4,7 +4,7 @@ from scipy.stats import spearmanr
 
 from bottlenet import theory
 from bottlenet.errors import NotInvertibleError, ShapeMismatchError
-from bottlenet.model import ModelSpec, build_model
+from bottlenet.model import BottleneckLayer, ConvLayer, ModelSpec, build_model
 from bottlenet.tensor import Rng, random_gaussian
 from bottlenet.theory import (
     activation_pattern_stats,
@@ -238,6 +238,23 @@ class TestActivationStats:
         assert six, "expected rectified taps for an expansion-6 block"
         for layer in six:
             assert layer.threshold == layer.channels / 6
+
+    @pytest.mark.parametrize("alpha", [0.35, 1.0])
+    def test_every_threshold_is_the_emitting_layers_input_width(self, alpha):
+        model = build_model(
+            ModelSpec(resolution=96, width_multiplier=alpha, classes=10)
+        ).randomize(Rng(5))
+        stats = activation_pattern_stats(model, random_gaussian((1, 96, 96, 3), Rng(6)))
+        expected = []
+        for layer in model.layers:
+            if isinstance(layer, ConvLayer) and layer.activation == "relu6":
+                expected.append((layer.name, layer.params.in_channels))
+            elif isinstance(layer, BottleneckLayer):
+                if layer.params.expand is not None:
+                    expected.append((f"{layer.name}.expand", layer.params.in_channels))
+                expected.append((f"{layer.name}.depthwise", layer.params.in_channels))
+        assert expected[0][0] == "stem" and expected[-1][0] == "head"
+        assert [(l.name, l.threshold) for l in stats.layers] == expected
 
     def test_random_init_fractions_near_half(self, small_stats):
         _, stats = small_stats

@@ -68,24 +68,33 @@ class TestSaveLoad:
         x = random_gaussian((1, 96, 96, 3), Rng(5))
         assert m.forward(x).tobytes() == fresh.forward(x).tobytes()
 
-    def test_shape_mismatch_names_the_tensor(self, tmp_path):
-        m = small_model()
-        entries = list(m.parameters())
-        name, arr = entries[3]
-        entries[3] = (name, np.zeros(arr.shape[:-1] + (arr.shape[-1] + 1,), np.float32))
+    # The first entry fails before any copy could start; the last fails
+    # after every other entry checked out, so a load that copied while it
+    # checked would have written all the others.
+    @pytest.mark.parametrize("index", [0, -1], ids=["first", "last"])
+    def test_shape_mismatch_names_the_tensor(self, tmp_path, index):
+        entries = list(small_model().parameters())
+        name, arr = entries[index]
+        entries[index] = (name, np.zeros(arr.shape[:-1] + (arr.shape[-1] + 1,), np.float32))
         path = tmp_path / "w.bwgt"
         path.write_bytes(pack_container(entries))
+        target = build_model(SMALL)
+        before = [a.tobytes() for _, a in target.parameters()]
         with pytest.raises(WeightShapeError, match=name):
-            load_weights(build_model(SMALL), path)
+            load_weights(target, path)
+        assert [a.tobytes() for _, a in target.parameters()] == before
 
-    def test_name_mismatch(self, tmp_path):
-        m = small_model()
-        entries = list(m.parameters())
-        entries[0] = ("not.a.real.tensor", entries[0][1])
+    @pytest.mark.parametrize("index", [0, -1], ids=["first", "last"])
+    def test_name_mismatch(self, tmp_path, index):
+        entries = list(small_model().parameters())
+        entries[index] = ("not.a.real.tensor", entries[index][1])
         path = tmp_path / "w.bwgt"
         path.write_bytes(pack_container(entries))
+        target = build_model(SMALL)
+        before = [a.tobytes() for _, a in target.parameters()]
         with pytest.raises(WeightNameError):
-            load_weights(build_model(SMALL), path)
+            load_weights(target, path)
+        assert [a.tobytes() for _, a in target.parameters()] == before
 
     def test_truncated_payload_no_partial_mutation(self, tmp_path):
         m = small_model()
