@@ -14,16 +14,10 @@ Three related tools live here:
 
 * ``min_memory_schedule`` searches all topological orders for the one
   with the smallest peak, by depth-first branch-and-bound with the
-  running peak as the bound and a dominance memo on the executed set.
-  Exact up to a configurable op-count limit; beyond it the caller should
-  fall back to the non-optimal greedy order.  The walk and the search
-  read integer tables that ``ComputeGraph`` builds once, when the graph
-  is made: an op-set is a bitmask, each op carries its predecessor mask,
-  the bytes its step adds and keeps live, and per input the mask of that
-  tensor's consumers, so the live bytes after a step follow from the
-  executed mask alone and are passed down as an int with nothing to
-  undo.  Candidates are tried in ascending op index, and the search
-  keeps the first order that reaches the smallest peak.
+  running peak as the bound.  An executed set whose every completion
+  peaks at or above the incumbent is unbeatable, and a later visit to it
+  is cut.  Exact up to a configurable op-count limit; beyond it the
+  caller should fall back to the non-optimal greedy order.
 
 * ``cascade_peak_bytes`` bounds the working set of running a bottleneck
   block one group of expanded channels at a time.  The block owns the
@@ -35,6 +29,16 @@ Three related tools live here:
   (project o inner o expand) applied to each group's slice, so only one
   group-sized inner tensor is ever materialized.  The multiply-add count
   is independent of the group count.
+
+The walk and the search read integer tables that ``ComputeGraph`` builds
+once, when the graph is made: an op-set is a bitmask, each op carries its
+predecessor mask, its successors, the bytes its step adds and keeps live,
+and per input the mask of that tensor's consumers.  The live bytes after a
+step follow from the executed mask alone, and the ready set (the ops whose
+predecessors have all run) is a bitmask that gains only successors of the
+op just run, so both are passed down as ints with nothing to undo and a
+step looks only at ready ops.  Ready ops are tried in ascending op index,
+and the search keeps the first order that reaches the smallest peak.
 
 ``memory_table`` reproduces the per-resolution materialization summary
 for a model: bottleneck blocks are treated as single operations with
@@ -92,7 +96,9 @@ class ComputeGraph:
     predecessor mask, bytes the step adds (outputs plus workspace), bytes
     its outputs keep live, ((consumer mask, bytes) per input)); ``succs``,
     each op's successors, each listed once; and ``live0``, the bytes of
-    the consumed graph inputs, live before any op runs.
+    the consumed graph inputs, live before any op runs.  Each walk or
+    search seeds its ready mask with the ops of no predecessor and, after
+    an op runs, adds each successor whose predecessor mask has all run.
     """
 
     def __init__(self, tensors: Iterable[TensorNode], ops: Iterable[OpNode]):
@@ -246,9 +252,23 @@ class MemoryReport:
 def min_memory_schedule(g: ComputeGraph, exact_limit: int = 16) -> tuple[Schedule, int]:
     """Exact minimum-peak schedule via branch-and-bound.
 
-    Ties between equal-peak schedules break toward the lexicographically
-    smallest op-index sequence (depth-first exploration visits those
-    first and only strictly better peaks replace the incumbent).
+    Each search node carries the executed set, the ready set (ops whose
+    predecessors have all run, as a bitmask updated from the successors of
+    each op run), the live bytes and the running peak, and tries the ready
+    ops lowest index first.  Ties between equal-peak schedules break toward
+    the lexicographically smallest op-index sequence (depth-first
+    exploration visits those first and only strictly better peaks replace
+    the incumbent).
+
+    The live bytes after a set of ops do not depend on the order they ran
+    in.  So once a node has tried every child while the incumbent stayed
+    strictly above its running peak, every completion of that set peaks at
+    or above the incumbent: the set is unbeatable, and every later visit
+    is cut before it descends.  If instead a completion reached exactly
+    the node's running peak, the set gets no entry: the bound already cuts
+    every later visit at that peak or above, and a cheaper prefix through
+    the same set may still win.
+
     Raises GraphTooLargeError above ``exact_limit`` ops; callers fall
     back to ``greedy_memory_schedule``.
     """
@@ -257,63 +277,69 @@ def min_memory_schedule(g: ComputeGraph, exact_limit: int = 16) -> tuple[Schedul
         raise GraphTooLargeError(
             f"graph has {n} ops, exact search limited to {exact_limit}"
         )
-    rows, live0 = g.rows, g.live0
-    full = (1 << n) - 1
+    rows = g.rows
+    # Per op, by its bit: index, bytes added and kept, frees and its
+    # successors as (bit, predecessor mask).
+    step = {bit: (i, add, keep, frees, [rows[j][1:3] for j in g.succs[i]])
+            for i, bit, _, add, keep, frees in rows}
+    ready0 = sum([row[1] for row in rows if not row[2]])
     # Above any step cost, so the first complete order always replaces it.
-    best_peak = live0 + sum(r[3] for r in rows) + 1
+    best_peak = g.live0 + sum(r[3] for r in rows) + 1
     best_order: list[int] = []
     order: list[int] = []
-    # Dominance memo: executed-set -> smallest running peak that reached it.
-    memo: dict[int, int] = {}
+    unbeatable: set[int] = set()
 
-    def dfs(mask: int, live: int, running_peak: int) -> None:
+    def dfs(mask: int, ready: int, live: int, running_peak: int) -> None:
         nonlocal best_peak, best_order
-        if running_peak >= best_peak:
-            return
-        memo[mask] = running_peak
-        if mask == full:
+        if not ready:  # an acyclic graph has run every op
             best_peak = running_peak
             best_order = list(order)
             return
-        for i, bit, preds, add, keep, frees in rows:
-            if mask & bit or preds & ~mask:
-                continue
+        left = ready
+        while left:
+            bit = left & -left
+            left ^= bit
+            i, add, keep, frees, succs = step[bit]
             new_peak = live + add
             if new_peak < running_peak:
                 new_peak = running_peak
             if new_peak >= best_peak:
                 continue
             done = mask | bit
-            # The memo is read before descending: a dominated child costs no call.
-            seen = memo.get(done)
-            if seen is not None and seen <= new_peak:
+            # Read before descending: an unbeatable child costs no call.
+            if done in unbeatable:
                 continue
             after = live + keep
             for consumers, nbytes in frees:
                 if not consumers & ~done:
                     after -= nbytes
+            now = ready ^ bit
+            for sbit, preds in succs:
+                if not preds & ~done:
+                    now |= sbit
             order.append(i)
-            dfs(done, after, new_peak)
+            dfs(done, now, after, new_peak)
             order.pop()
+        if best_peak > running_peak:
+            unbeatable.add(mask)
 
-    dfs(0, live0, 0)
+    dfs(0, ready0, g.live0, 0)
     names = tuple(g.ops[i].name for i in best_order)
     return Schedule(order=names, optimal=True), best_peak
 
 
 def _walk(g: ComputeGraph, choose) -> tuple[list[int], list[int]]:
-    """Run ``g``'s ops, each the ready row of ``g.rows`` that
-    ``choose(ready, live bytes)`` picks, until none is ready; return the
-    op indices run and each step's cost (live + outputs + workspace)."""
+    """Run ``g``'s ops, each the op index that ``choose(ready mask)`` picks
+    from the ready set, until none is ready; return the op indices run and
+    each step's cost (live + outputs + workspace)."""
     rows, live = g.rows, g.live0
-    ready = [row for row in rows if not row[2]]
+    ready = sum([row[1] for row in rows if not row[2]])
     mask = 0
     ran: list[int] = []
     costs: list[int] = []
     while ready:
-        row = choose(ready, live)
-        ready.remove(row)
-        i, bit, _, add, keep, frees = row
+        i, bit, _, add, keep, frees = rows[choose(ready)]
+        ready ^= bit
         costs.append(live + add)
         mask |= bit
         live += keep
@@ -321,7 +347,9 @@ def _walk(g: ComputeGraph, choose) -> tuple[list[int], list[int]]:
             if not consumers & ~mask:
                 live -= nbytes
         ran.append(i)
-        ready += [rows[j] for j in g.succs[i] if not rows[j][2] & ~mask]
+        for j in g.succs[i]:
+            if not rows[j][2] & ~mask:
+                ready |= rows[j][1]
     return ran, costs
 
 
@@ -334,12 +362,11 @@ def schedule_memory(g: ComputeGraph, schedule: Schedule | tuple[str, ...]) -> Me
     order = schedule.order if isinstance(schedule, Schedule) else tuple(schedule)
     names = iter(order)
 
-    def follow(ready, live):
+    def follow(ready):
         i = g.op_index.get(next(names, None))
-        for row in ready:
-            if row[0] == i:
-                return row
-        raise GraphError("schedule is not a topological order of the graph")
+        if i is None or not ready >> i & 1:
+            raise GraphError("schedule is not a topological order of the graph")
+        return i
 
     ran, costs = _walk(g, follow)
     if len(ran) != len(order):
@@ -356,17 +383,29 @@ def greedy_memory_schedule(g: ComputeGraph) -> tuple[Schedule, int]:
 
     Ties between equally cheap steps go to the lowest op index.
     """
-    ran, costs = _walk(g, lambda ready, live: min(ready, key=lambda r: (live + r[3], r[0])))
+    adds = [row[3] for row in g.rows]
+
+    def cheapest(ready):
+        best = None
+        while ready:  # lowest index first; only a cheaper step replaces it
+            low = ready & -ready
+            ready ^= low
+            i = low.bit_length() - 1
+            if best is None or adds[i] < adds[best]:
+                best = i
+        return best
+
+    ran, costs = _walk(g, cheapest)
     names = tuple(g.ops[i].name for i in ran)
     return Schedule(order=names, optimal=False), max(costs, default=0)
 
 
-def _only(ready, live):
-    if len(ready) != 1:
+def _only(ready):
+    if ready & (ready - 1):
         raise GraphError(
-            f"graph has non-trivial parallel structure ({len(ready)} ops ready)"
+            f"graph has non-trivial parallel structure ({ready.bit_count()} ops ready)"
         )
-    return ready[0]
+    return ready.bit_length() - 1
 
 
 def unique_topological_order(g: ComputeGraph) -> tuple[str, ...]:

@@ -33,8 +33,9 @@ from .blocks import (
     expanded_width,
 )
 from .errors import InvalidShapeError, ShapeMismatchError
+from .kernels import Conv2dParams, DepthwiseParams, conv2d, depthwise_plane, global_avgpool
 # relu6 is not called here; perfbench/tracing.py patches it by this name.
-from .kernels import Conv2dParams, DepthwiseParams, conv2d, global_avgpool, relu6  # noqa: F401
+from .kernels import relu6  # noqa: F401
 from .tensor import Rng, assert_activation
 
 
@@ -147,6 +148,18 @@ Layer = Union[ConvLayer, BottleneckLayer, PoolLayer]
 BlockRunner = Callable[[np.ndarray, BottleneckParams], np.ndarray]
 
 
+def _input_plane(x: np.ndarray, conv: Conv2dParams, after: Layer | None):
+    """The depthwise plane that ``conv``'s output should be written into:
+    a following block without an expansion conv reads that output as its
+    depthwise input, in place.  None otherwise, or for a small call."""
+    if not isinstance(after, BottleneckLayer) or after.params.expand is not None:
+        return None
+    b, h, w, _ = x.shape
+    s = conv.stride
+    return depthwise_plane((b, -(-h // s), -(-w // s), conv.out_channels),
+                           after.params.depthwise.kernel, after.params.stride)
+
+
 @dataclass
 class Model:
     spec: ModelSpec
@@ -171,9 +184,10 @@ class Model:
             raise ShapeMismatchError(
                 f"input shape {x.shape[1:]} does not match model input {self.input_shape}"
             )
-        for layer in self.layers:
+        for layer, after in zip(self.layers, self.layers[1:] + [None]):
             if isinstance(layer, ConvLayer):
-                x = conv2d(x, layer.params, activation=layer.activation)
+                x = conv2d(x, layer.params, activation=layer.activation,
+                           out=_input_plane(x, layer.params, after))
                 if tap is not None and layer.activation == "relu6":
                     tap(layer.name, x)
             elif isinstance(layer, BottleneckLayer):

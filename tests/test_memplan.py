@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bottlenet import kernels
@@ -89,7 +89,9 @@ class TestScheduleMemory:
         ("op1",),
         ("op1", "op2", "op3"),
         ("op1", "nope"),
-    ], ids=["reversed", "duplicated", "duplicated-last", "missing", "extra", "unknown"])
+        ("op2", "op1", "op2"),
+    ], ids=["reversed", "duplicated", "duplicated-last", "missing", "extra", "unknown",
+            "also-early"])
     def test_non_topological_rejected(self, order):
         with pytest.raises(GraphError, match="not a topological order"):
             schedule_memory(chain_graph(), order)
@@ -156,7 +158,7 @@ def solved(search, g):
 
 
 @st.composite
-def general_dags(draw, max_ops=12):
+def general_dags(draw, max_ops=12, min_ops=0):
     """Up to three sources (possibly unused), then ops reading zero to three
     earlier tensors and writing zero to two new ones, so unconsumed
     outputs, workspace-only ops and multi-output ops all occur; small
@@ -164,7 +166,7 @@ def general_dags(draw, max_ops=12):
     tensors = [TensorNode(f"s{k}", draw(st.integers(0, 64)))
                for k in range(draw(st.integers(0, 3)))]
     ops = []
-    for i in range(draw(st.integers(0, max_ops))):
+    for i in range(draw(st.integers(min_ops, max_ops))):
         names = [t.name for t in tensors]
         ins = draw(st.lists(st.sampled_from(names), max_size=3, unique=True)) if names else []
         outs = [TensorNode(f"t{i}_{k}", draw(st.integers(0, 64)))
@@ -247,6 +249,36 @@ class TestSeedSearchEquivalence:
         assert solved(greedy_memory_schedule, g) == seed_greedy_memory_schedule(g)
 
     @settings(max_examples=100, deadline=None)
+    @given(g=general_dags(min_ops=13, max_ops=16))
+    def test_dags_up_to_the_limit_match_seed(self, g):
+        assert solved(min_memory_schedule, g) == seed_min_memory_schedule(g)
+
+    @settings(max_examples=10, deadline=None)
+    @given(g=general_dags(min_ops=17, max_ops=22))
+    def test_dags_past_the_limit_match_seed_when_raised(self, g):
+        sched, peak = min_memory_schedule(g, exact_limit=22)
+        assert (sched.order, peak, sched.optimal) == seed_min_memory_schedule(g)
+
+    def test_cheaper_prefix_through_an_explored_set_wins(self):
+        # The first prefix to run {x_big, y_mid, x_small} is the index order
+        # (x_big, y_mid, x_small), peak 151 while X and Y are both live,
+        # and its best completion also peaks at 151.  The same set is then
+        # reached by (x_big, x_small, y_mid) at 101: the set must not be
+        # cut as unbeatable, and that cheaper prefix wins.
+        g = ComputeGraph(
+            [TensorNode("X", 100), TensorNode("x", 1), TensorNode("Y", 50),
+             TensorNode("y", 1), TensorNode("out", 1)],
+            [OpNode("x_big", (), ("X",)), OpNode("y_mid", (), ("Y",)),
+             OpNode("x_small", ("X",), ("x",)), OpNode("y_small", ("Y",), ("y",)),
+             OpNode("join", ("x", "y"), ("out",))],
+        )
+        first = ("x_big", "y_mid", "x_small", "y_small", "join")
+        order = ("x_big", "x_small", "y_mid", "y_small", "join")
+        assert schedule_memory(g, first).peak_bytes == 151
+        assert solved(min_memory_schedule, g) == (order, 101, True)
+        assert seed_min_memory_schedule(g) == (order, 101, True)
+
+    @settings(max_examples=100, deadline=None)
     @given(g=general_dags(max_ops=7))
     def test_small_dags_match_exhaustive(self, g):
         order, peak, _ = solved(min_memory_schedule, g)
@@ -264,6 +296,45 @@ class TestSeedSearchEquivalence:
             steps = seed_schedule_steps(g, order)
             assert [(s.op, s.live_bytes, s.workspace) for s in report.steps] == steps
             assert report.peak_bytes == max((live + ws for _, live, ws in steps), default=0)
+
+
+class TestReadySetWalk:
+    """The walk keeps the ready ops as a bitmask updated from each op's
+    successors; a given order must still name exactly the ready ops."""
+
+    @pytest.mark.parametrize("kind", ["miss", "repeat", "add", "misorder", "also-early"])
+    @settings(max_examples=60, deadline=None)
+    @given(g=general_dags(min_ops=2), data=st.data())
+    def test_broken_orders_rejected_on_random_dags(self, kind, g, data):
+        order = list(greedy_memory_schedule(g)[0].order)
+        k = data.draw(st.integers(0, len(order) - 1))
+        if kind == "miss":
+            del order[k]
+        elif kind == "repeat":
+            order.insert(data.draw(st.integers(k + 1, len(order))), order[k])
+        elif kind == "add":
+            order.insert(data.draw(st.integers(0, len(order))), "nope")
+        else:  # move (or copy) an op in front of an op that makes one of its inputs
+            made_by = {t: op.name for op in g.ops for t in op.outputs}
+            pairs = [(order.index(made_by[t]), j) for j, name in enumerate(order)
+                     for t in g.ops[g.op_index[name]].inputs if t in made_by]
+            assume(pairs)
+            before, j = data.draw(st.sampled_from(pairs))
+            order.insert(before, order[j] if kind == "also-early" else order.pop(j))
+        with pytest.raises(GraphError, match="not a topological order"):
+            schedule_memory(g, tuple(order))
+
+    @pytest.mark.parametrize("head, fan", [(0, 3), (2, 4), (5, 2)])
+    def test_parallel_structure_names_the_ready_ops(self, head, fan):
+        # A chain of `head` ops, then `fan` ops that all read its last tensor.
+        tensors = [TensorNode(f"c{i}", 4) for i in range(head + 1)]
+        ops = [OpNode(f"chain{i}", (f"c{i}",), (f"c{i + 1}",)) for i in range(head)]
+        tensors += [TensorNode(f"f{k}", 2) for k in range(fan)]
+        ops += [OpNode(f"fan{k}", (f"c{head}",), (f"f{k}",)) for k in range(fan)]
+        g = ComputeGraph(tensors, ops)
+        for walk in (unique_topological_order, linear_bound_memory):
+            with pytest.raises(GraphError, match=rf"parallel structure \({fan} ops ready\)"):
+                walk(g)
 
 
 class TestLinearBound:

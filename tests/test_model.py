@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bottlenet.blocks import bottleneck_forward
 from bottlenet.costs import model_cost
 from bottlenet.errors import InvalidShapeError, ShapeMismatchError
 from bottlenet.model import (
@@ -133,6 +134,23 @@ class TestForward:
         y = m.forward(x)
         assert y.shape == (1, 1, 1, 1000)
         assert np.all(np.isfinite(y))
+
+    def test_stem_writes_block01_plane_with_the_copy_paths_bytes(self):
+        # block01 has no expansion conv, so the stem writes its output
+        # straight into block01's depthwise plane, one matmul per image, and
+        # the depthwise reads it in place.  A contiguous copy of that output
+        # takes the padded-copy path and must give the same logits bytes.
+        m = build_model(ModelSpec(resolution=96, width_multiplier=0.35)).randomize(Rng(5))
+        x = random_gaussian((8, 96, 96, 3), Rng(6))
+        planes = []
+
+        def copied(t, p):
+            if not planes:
+                planes.append(t.base is not None and t.base.ndim == 1)
+            return bottleneck_forward(np.ascontiguousarray(t), p)
+
+        assert m.forward(x).tobytes() == m.forward(x, block_runner=copied).tobytes()
+        assert planes == [True]
 
     def test_resolution_mismatch_rejected(self):
         m = build_model(ModelSpec(resolution=128, width_multiplier=0.35))
