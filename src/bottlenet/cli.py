@@ -23,6 +23,7 @@ import sys
 from .errors import (
     BottlenetError,
     InternalError,
+    InvalidShapeError,
     TensorFormatError,
     UsageError,
     WeightFormatError,
@@ -43,30 +44,17 @@ def _apply_thread_env() -> None:
 
 
 def _model_spec(args):
-    """The ``ModelSpec`` of the --alpha/--res/--classes flags, once they pass."""
-    from .model import (
-        MAX_CLASSES,
-        MAX_RESOLUTION,
-        MAX_WIDTH_MULTIPLIER,
-        MIN_RESOLUTION,
-        MIN_WIDTH_MULTIPLIER,
-        ModelSpec,
-    )
+    """The ``ModelSpec`` of the --alpha/--res/--classes flags; a UsageError
+    names the flag of the first field out of range."""
+    from .model import ModelSpec
 
-    alpha, res, classes = args.alpha, args.res, args.classes
-    if not MIN_WIDTH_MULTIPLIER <= alpha <= MAX_WIDTH_MULTIPLIER:
-        raise UsageError(
-            f"--alpha must be in [{MIN_WIDTH_MULTIPLIER}, {MAX_WIDTH_MULTIPLIER}], "
-            f"got {alpha}"
-        )
-    if not (MIN_RESOLUTION <= res <= MAX_RESOLUTION and res % 32 == 0):
-        raise UsageError(
-            f"--res must be a multiple of 32 in [{MIN_RESOLUTION}, {MAX_RESOLUTION}], "
-            f"got {res}"
-        )
-    if not 1 <= classes <= MAX_CLASSES:
-        raise UsageError(f"--classes must be in [1, {MAX_CLASSES}], got {classes}")
-    return ModelSpec(resolution=res, width_multiplier=alpha, classes=classes)
+    try:
+        return ModelSpec(resolution=args.res, width_multiplier=args.alpha,
+                         classes=args.classes)
+    except InvalidShapeError as exc:
+        flag = {"width_multiplier": "--alpha", "resolution": "--res",
+                "classes": "--classes"}[exc.field]
+        raise UsageError(f"{flag}: {exc}") from None
 
 
 def _seed(text: str) -> int:

@@ -10,7 +10,10 @@ class BottlenetError(Exception):
 
 
 class InvalidShapeError(BottlenetError):
-    """A tensor shape violates its invariants (zero dimension, wrong rank...)."""
+    """A tensor shape violates its invariants (zero dimension, wrong rank...).
+    ``field`` names the ``ModelSpec`` field out of range, if one is."""
+
+    field: str | None = None
 
 
 class ShapeMismatchError(BottlenetError):

@@ -52,6 +52,7 @@ channel, excluded from the overall peak.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Optional
@@ -480,6 +481,8 @@ def memory_table(spec: ModelSpec, bytes_per_activation: int = 2) -> MemoryReport
         if layer.kind == "block":
             res = layer.in_shape[0]
             per_res[res] = max(per_res.get(res, 0), layer.out_channels)
+        elif layer.kind == "pool":
+            pooled = layer
     rows = []
     for res in sorted(per_res, reverse=True):
         streamed = res == max(per_res)  # the first block's: strides only shrink
@@ -490,8 +493,8 @@ def memory_table(spec: ModelSpec, bytes_per_activation: int = 2) -> MemoryReport
             nbytes=res * res * channels * bytes_per_activation,
             streamed=streamed,
         ))
-    head = spec.scaled_head_channels
-    rows.append(ResolutionRow(1, head, head * bytes_per_activation))
+    h, w, c = pooled.out_shape
+    rows.append(ResolutionRow(h, c, h * w * c * bytes_per_activation))
     peak = max(r.nbytes for r in rows if not r.streamed)
     return MemoryReport(peak_bytes=peak, rows=rows)
 
@@ -501,35 +504,25 @@ def block_graph(
     bytes_per_activation: int = 2,
     first_block: int = 0,
 ) -> ComputeGraph:
-    """Block-granular compute graph (each block one op, shortcuts internal),
-    followed by the head conv, the average pool and the classifier.
+    """Block-granular compute graph: a chain of the ``layer_walk`` records
+    after the stem, one op each (a block's shortcut is internal), and each
+    output ``bytes_per_activation`` times its record's shape.
 
     ``first_block`` drops that many leading blocks, modelling the case
     where the high-resolution prefix is handled by streamed execution and
     the planner only sees the materialized tail.
     """
-    blocks = [layer for layer in layer_walk(spec) if layer.kind == "block"]
-    if not 0 <= first_block < len(blocks):
+    chain = list(layer_walk(spec))[1:]  # after the stem
+    if not 0 <= first_block < sum(layer.kind == "block" for layer in chain):
         raise GraphError(f"first_block {first_block} out of range")
-    bpa = bytes_per_activation
-
-    def nbytes(shape: tuple[int, int, int]) -> int:
-        return shape[0] * shape[1] * shape[2] * bpa
-
-    tensors = [TensorNode("in", nbytes(blocks[first_block].in_shape))]
+    chain = chain[first_block:]
+    outputs = {"head": "head_out", "avgpool": "pooled", "classifier": "logits"}
+    tensors = [TensorNode("in", bytes_per_activation * math.prod(chain[0].in_shape))]
     ops = []
     prev = "in"
-    for layer in blocks[first_block:]:
-        out_name = f"{layer.name}_out"
-        tensors.append(TensorNode(out_name, nbytes(layer.out_shape)))
+    for layer in chain:
+        out_name = outputs.get(layer.name, f"{layer.name}_out")
+        tensors.append(TensorNode(out_name, bytes_per_activation * math.prod(layer.out_shape)))
         ops.append(OpNode(layer.name, (prev,), (out_name,)))
         prev = out_name
-    res = blocks[-1].out_shape[0]
-    head = spec.scaled_head_channels
-    tensors.append(TensorNode("head_out", res * res * head * bpa))
-    ops.append(OpNode("head", (prev,), ("head_out",)))
-    tensors.append(TensorNode("pooled", head * bpa))
-    ops.append(OpNode("avgpool", ("head_out",), ("pooled",)))
-    tensors.append(TensorNode("logits", spec.classes * bpa))
-    ops.append(OpNode("classifier", ("pooled",), ("logits",)))
     return ComputeGraph(tensors, ops)

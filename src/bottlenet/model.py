@@ -94,33 +94,22 @@ class ModelSpec:
     stages: ClassVar[tuple[StageSpec, ...]] = STAGES
 
     def __post_init__(self):
-        if not MIN_RESOLUTION <= self.resolution <= MAX_RESOLUTION:
-            raise InvalidShapeError(
-                f"resolution must be in [{MIN_RESOLUTION}, {MAX_RESOLUTION}], "
-                f"got {self.resolution}"
-            )
-        if self.resolution % 32 != 0:
-            raise InvalidShapeError(
-                f"resolution must be a multiple of 32, got {self.resolution}"
-            )
-        if not MIN_WIDTH_MULTIPLIER <= self.width_multiplier <= MAX_WIDTH_MULTIPLIER:
-            raise InvalidShapeError(
-                f"width multiplier must be in [{MIN_WIDTH_MULTIPLIER}, "
-                f"{MAX_WIDTH_MULTIPLIER}], got {self.width_multiplier}"
-            )
-        if not 1 <= self.classes <= MAX_CLASSES:
-            raise InvalidShapeError(f"classes must be in [1, {MAX_CLASSES}], got {self.classes}")
-
-    @property
-    def scaled_stem_channels(self) -> int:
-        return scale_channels(STEM_CHANNELS, self.width_multiplier)
-
-    @property
-    def scaled_head_channels(self) -> int:
-        # The very last conv layer is exempt from multipliers below one.
-        if self.width_multiplier < 1.0:
-            return HEAD_CHANNELS
-        return scale_channels(HEAD_CHANNELS, self.width_multiplier)
+        """InvalidShapeError whose ``field`` names the first field out of
+        range, in the order width multiplier, resolution, classes."""
+        alpha, res, classes = self.width_multiplier, self.resolution, self.classes
+        if not MIN_WIDTH_MULTIPLIER <= alpha <= MAX_WIDTH_MULTIPLIER:
+            field = "width_multiplier"
+            rule = f"width multiplier must be in [{MIN_WIDTH_MULTIPLIER}, {MAX_WIDTH_MULTIPLIER}]"
+        elif not (MIN_RESOLUTION <= res <= MAX_RESOLUTION and res % 32 == 0):
+            field = "resolution"
+            rule = f"resolution must be a multiple of 32 in [{MIN_RESOLUTION}, {MAX_RESOLUTION}]"
+        elif not 1 <= classes <= MAX_CLASSES:
+            field, rule = "classes", f"classes must be in [1, {MAX_CLASSES}]"
+        else:
+            return
+        err = InvalidShapeError(f"{rule}, got {getattr(self, field)}")
+        err.field = field
+        raise err
 
 
 @dataclass
@@ -289,15 +278,17 @@ def layer_walk(spec: ModelSpec) -> Iterator[LayerRecord]:
         res, cur = out, cout
         return record
 
-    yield layer("stem", "conv", 3, 2, spec.scaled_stem_channels)
+    alpha = spec.width_multiplier
+    yield layer("stem", "conv", 3, 2, scale_channels(STEM_CHANNELS, alpha))
     index = 0
     for stage in STAGES:
-        cout = scale_channels(stage.channels, spec.width_multiplier)
+        cout = scale_channels(stage.channels, alpha)
         for rep in range(stage.repeats):
             index += 1
             stride = stage.stride if rep == 0 else 1
             yield layer(f"block{index:02d}", "block", 3, stride, cout, stage.expansion, "none")
-    head = spec.scaled_head_channels
+    # The very last conv layer is exempt from multipliers below one.
+    head = HEAD_CHANNELS if alpha < 1.0 else scale_channels(HEAD_CHANNELS, alpha)
     yield layer("head", "conv", 1, 1, head)
     # Global average pooling: one window over the whole map.
     yield layer("avgpool", "pool", res, res, head, activation="none")

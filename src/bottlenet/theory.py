@@ -93,6 +93,10 @@ def relu_preserved_fraction(n: int, m: int) -> float:
     """Exact expected fraction of sign patterns with >= n positive entries."""
     if not 1 <= n <= m:
         raise ValueError(f"need 1 <= n <= m, got n={n}, m={m}")
+    # Sum the shorter run of binomials: the numerator is the same integer,
+    # since sum_{k<=m-n} C(m, k) = 2^m - sum_{j<n} C(m, j).
+    if n < m - n + 1:
+        return (2**m - sum(comb(m, j) for j in range(n))) / 2**m
     return sum(comb(m, k) for k in range(m - n + 1)) / 2**m
 
 

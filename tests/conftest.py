@@ -14,6 +14,7 @@ near-zero outputs regardless of implementation quality.
 from __future__ import annotations
 
 import contextlib
+import functools
 import struct
 import types
 
@@ -471,6 +472,75 @@ def seed_min_memory_schedule(g: ComputeGraph) -> tuple[tuple[str, ...], int, boo
 
     dfs(0, 0)
     return tuple(g.ops[i].name for i in best_order), best_peak, True
+
+
+def dp_min_memory_schedule(g: ComputeGraph) -> tuple[tuple[str, ...], int, bool]:
+    """Exact minimum peak over executed op sets, independent of any search.
+
+    The peak is ``f(empty set)`` of ``f(S) = min over ready i of
+    max(live(S) + add_i, f(S | i))``, ``f(all ops) = 0``, where ``live(S)``
+    is read from ``S`` alone (the graph inputs and outputs of ``S`` that an
+    op outside ``S`` still reads) and ``add_i`` is op i's outputs plus
+    workspace.  It is found in that recurrence's decision form: ``f(S) <= P``
+    iff ``S`` is every op or some ready i has ``live(S) + add_i <= P`` and
+    ``f(S | i) <= P``, and a bisection over P keeps the sets visited to
+    those every step of whose prefix fits under P; where a fitting ready op
+    keeps no output live, only it is tried.  The order returned is
+    the lexicographically smallest op-index sequence of that peak:
+    (order, peak, optimal)."""
+    n = len(g.ops)
+    producer, consumers, all_preds = graph_links(g)
+    held = []  # (producer's bit, 0 for a graph input; consumer mask; bytes)
+    for t, node in g.tensors.items():
+        cons = sum(1 << i for i in consumers[t])
+        if cons:
+            prod = producer.get(t)
+            held.append((0 if prod is None else 1 << prod, cons, node.nbytes))
+    preds = [sum(1 << p for p in ps) for ps in all_preds]
+    adds = [sum(g.tensors[t].nbytes for t in op.outputs) + op.workspace for op in g.ops]
+    kept = [any(consumers[t] for t in op.outputs) for op in g.ops]
+    full = (1 << n) - 1
+
+    @functools.cache
+    def steps(done: int):
+        """(op, step cost) of each op ready after ``done``, lowest op first."""
+        live = sum(nbytes for prod, cons, nbytes in held
+                   if prod & done == prod and cons & ~done)
+        return [(i, live + adds[i]) for i in range(n)
+                if not done >> i & 1 and preds[i] & done == preds[i]]
+
+    def fits(done: int, cap: int, stuck: set) -> bool:
+        """Whether the ops outside ``done`` can all run, each step <= cap."""
+        if done == full:
+            return True
+        if done in stuck:
+            return False
+        fit = [i for i, cost in steps(done) if cost <= cap]
+        # An op whose outputs no op reads leaves every later live set no
+        # larger, so if any order fits, one that runs it now does.
+        fit = next(([i] for i in fit if not kept[i]), fit)
+        if any(fits(done | 1 << i, cap, stuck) for i in fit):
+            return True
+        stuck.add(done)
+        return False
+
+    # Every step holds its inputs; at the cap of every tensor and workspace all fit.
+    lo = max((adds[i] + sum(g.tensors[t].nbytes for t in op.inputs)
+              for i, op in enumerate(g.ops)), default=0)
+    hi = sum(t.nbytes for t in g.tensors.values()) + max(adds, default=0)
+    while lo < hi:  # the smallest cap that fits; hi always fits
+        mid = (lo + hi) // 2
+        if fits(0, mid, set()):
+            hi = mid
+        else:
+            lo = mid + 1
+    order, done, stuck = [], 0, set()
+    while done != full:
+        i = next(i for i, cost in steps(done)
+                 if cost <= lo and fits(done | 1 << i, lo, stuck))
+        order.append(i)
+        done |= 1 << i
+    return tuple(g.ops[i].name for i in order), lo, True
 
 
 def seed_greedy_memory_schedule(g: ComputeGraph) -> tuple[tuple[str, ...], int, bool]:

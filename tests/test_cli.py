@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import jsonschema
@@ -189,6 +190,18 @@ class TestMemoryPlan:
         assert linear_bound_memory(g) > 0
 
 
+    @pytest.mark.parametrize("alpha,res,bits", [("1.0", "224", "16"), ("0.35", "96", "32")])
+    def test_dump_graph_golden(self, alpha, res, bits, capsys, tmp_path, repo_root):
+        # tests/golden/memory-plan-graph-*.jsonl were written before block_graph
+        # read its head, pool and classifier sizes from the layer walk.
+        path = tmp_path / "graph.jsonl"
+        code, _, _ = run_cli(["memory-plan", "--alpha", alpha, "--res", res,
+                              "--act-bits", bits, "--dump-graph", str(path)], capsys)
+        assert code == 0
+        golden = f"memory-plan-graph-alpha{alpha}-res{res}-{bits}.jsonl"
+        assert path.read_bytes() == (repo_root / "tests" / "golden" / golden).read_bytes()
+
+
 class TestInfer:
     def test_random_weights_deterministic_top5(self, tmp_path):
         args = ["infer", *SMALL, "--random-weights", "--seed", "1",
@@ -326,6 +339,16 @@ class TestTheoryCommands:
         assert b"Traceback" not in r.stderr
         assert json.loads(r.stdout)["preserved_exact"] == 1.0
 
+    def test_collapse_m_one_million_in_seconds(self, capsys):
+        # Summing the m - n + 1 = 10**6 binomials took over two minutes
+        # already at m = 60,000; the n = 1 complement is one term.
+        start = time.perf_counter()
+        code, out, err = run_cli(["theory", "collapse", "--n", "1", "--m", "1000000",
+                                  "--trials", "1", "--format", "json"], capsys)
+        assert code == 0, err
+        assert time.perf_counter() - start < 10
+        assert json.loads(out)["preserved_exact"] == 1.0
+
     def test_collapse_batch_past_memory_exit_2(self):
         # 100,000 x 100,000 float64 matrices: one trial alone is 74.5 GiB.
         r = run_subprocess(["theory", "collapse", "--n", "100000", "--m", "100000",
@@ -411,6 +434,62 @@ class TestTheoryCommands:
              non_finite_weights(tmp_path / "w.bwgt"), "--format", "json"], capsys)
         assert (code, out) == (3, "")
         assert "stem.weight" in err and "Traceback" not in err
+
+
+# Every ModelSpec rule as the flag it breaks and a value that breaks it.
+MODEL_FLAG_RULES = {
+    "alpha-low": ("--alpha", "0.34"),
+    "alpha-high": ("--alpha", "1.41"),
+    "res-low": ("--res", "64"),
+    "res-high": ("--res", "256"),
+    "res-not-multiple-of-32": ("--res", "100"),
+    "classes-zero": ("--classes", "0"),
+    "classes-above-max": ("--classes", "65537"),
+}
+MODEL_COMMANDS = {
+    "summarize": ["summarize"],
+    "memory-plan": ["memory-plan"],
+    "infer": ["infer", "--random-weights", "--random-input"],
+    "theory-activations": ["theory", "activations", "--batch", "1"],
+}
+
+
+def model_flag_error(command, values, capsys, tmp_path):
+    """Exit code and stderr of ``command`` on SMALL with ``values`` replaced."""
+    flags = dict(zip(SMALL[::2], SMALL[1::2])) | values
+    argv = [*MODEL_COMMANDS[command], *[x for kv in flags.items() for x in kv]]
+    if command == "infer":
+        argv += ["--out", str(tmp_path / "l.bten")]
+    code, out, err = run_cli(argv, capsys)
+    assert out == "" and "Traceback" not in err
+    return code, err
+
+
+class TestModelFlags:
+    """ModelSpec states the flag ranges; every model command names the
+    flag of the first rule broken, in the order --alpha, --res, --classes."""
+
+    @pytest.mark.parametrize("command", sorted(MODEL_COMMANDS))
+    @pytest.mark.parametrize("rule", sorted(MODEL_FLAG_RULES))
+    def test_each_rule_exits_2_naming_its_flag(self, command, rule, capsys, tmp_path):
+        flag, value = MODEL_FLAG_RULES[rule]
+        code, err = model_flag_error(command, {flag: value}, capsys, tmp_path)
+        assert code == 2
+        assert err.startswith(f"error: {flag}: ") and err.count("\n") == 1, err
+        assert value in err
+
+    @pytest.mark.parametrize("command", sorted(MODEL_COMMANDS))
+    @pytest.mark.parametrize("bad,named", [
+        (("--alpha", "--res", "--classes"), "--alpha"),
+        (("--alpha", "--res"), "--alpha"),
+        (("--alpha", "--classes"), "--alpha"),
+        (("--res", "--classes"), "--res"),
+    ], ids=["all", "alpha-res", "alpha-classes", "res-classes"])
+    def test_first_bad_flag_named(self, command, bad, named, capsys, tmp_path):
+        values = {"--alpha": "2", "--res": "100", "--classes": "0"}
+        code, err = model_flag_error(command, {f: values[f] for f in bad}, capsys, tmp_path)
+        assert code == 2
+        assert err.startswith(f"error: {named}: ") and err.count("\n") == 1, err
 
 
 class TestHarness:

@@ -1,7 +1,9 @@
 import gc
+import importlib
 import io
 import json
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from bottlenet.model import ModelSpec, build_model, make_bottleneck
 from bottlenet.tensor import Rng, max_abs_rel_diff, random_gaussian
 
 from conftest import (
+    dp_min_memory_schedule,
     executed_madds,
     exhaustive_schedules,
     seed_bottleneck_forward,
@@ -253,11 +256,13 @@ class TestSeedSearchEquivalence:
     def test_dags_up_to_the_limit_match_seed(self, g):
         assert solved(min_memory_schedule, g) == seed_min_memory_schedule(g)
 
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(g=general_dags(min_ops=17, max_ops=22))
     def test_dags_past_the_limit_match_seed_when_raised(self, g):
+        # The dict-and-undo seed takes seconds on some of these graphs; the
+        # executed-set reference gives the same peak and tie-break order.
         sched, peak = min_memory_schedule(g, exact_limit=22)
-        assert (sched.order, peak, sched.optimal) == seed_min_memory_schedule(g)
+        assert (sched.order, peak, sched.optimal) == dp_min_memory_schedule(g)
 
     def test_cheaper_prefix_through_an_explored_set_wins(self):
         # The first prefix to run {x_big, y_mid, x_small} is the index order
@@ -284,6 +289,7 @@ class TestSeedSearchEquivalence:
         order, peak, _ = solved(min_memory_schedule, g)
         brute = min(schedule_memory(g, o).peak_bytes for o in exhaustive_schedules(g))
         assert peak == brute == schedule_memory(g, order).peak_bytes
+        assert dp_min_memory_schedule(g) == (order, peak, True)
         order, greedy_peak, _ = solved(greedy_memory_schedule, g)
         assert greedy_peak == schedule_memory(g, order).peak_bytes >= peak
 
@@ -387,7 +393,62 @@ class TestLinearBound:
         assert worst.op == "block04"
 
 
+@pytest.fixture(scope="module")
+def perfbench(repo_root):
+    """perfbench's ``reference`` (independent of bottlenet) and ``workloads``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(repo_root / "perfbench"))
+        yield types.SimpleNamespace(reference=importlib.import_module("reference"),
+                                    workloads=importlib.import_module("workloads"))
+
+
+class TestBlockGraph:
+    def test_sizes_match_the_independent_reference(self, perfbench):
+        # Every alpha x resolution of the plan stream, 16- and 32-bit, and
+        # every first_block: the chain drops that many leading tensors.
+        wl = perfbench.workloads
+        for alpha in wl.PLAN_ALPHAS:
+            for res in wl.PLAN_RESOLUTIONS:
+                spec = ModelSpec(resolution=res, width_multiplier=alpha, classes=wl.CLASSES)
+                for bpa in (2, 4):
+                    want = perfbench.reference.block_graph_sizes(alpha, res, wl.CLASSES, bpa)
+                    for first in range(17):
+                        g = block_graph(spec, bytes_per_activation=bpa, first_block=first)
+                        got = [t.nbytes for t in g.tensors.values()]
+                        assert got == want[first:], (alpha, res, bpa, first)
+
+    def test_names_follow_the_chain(self):
+        g = block_graph(ModelSpec(resolution=96, width_multiplier=0.35), first_block=15)
+        assert list(g.tensors) == ["in", "block16_out", "block17_out", "head_out",
+                                   "pooled", "logits"]
+        assert [(op.name, op.inputs, op.outputs) for op in g.ops] == [
+            ("block16", ("in",), ("block16_out",)),
+            ("block17", ("block16_out",), ("block17_out",)),
+            ("head", ("block17_out",), ("head_out",)),
+            ("avgpool", ("head_out",), ("pooled",)),
+            ("classifier", ("pooled",), ("logits",)),
+        ]
+
+    @pytest.mark.parametrize("first", [-1, 17])
+    def test_first_block_out_of_range(self, first):
+        with pytest.raises(GraphError, match="out of range"):
+            block_graph(ModelSpec(), first_block=first)
+
+
 class TestMemoryTable:
+    def test_rows_match_the_independent_reference(self, perfbench):
+        for alpha in perfbench.workloads.PLAN_ALPHAS:
+            for res in perfbench.workloads.PLAN_RESOLUTIONS:
+                spec = ModelSpec(resolution=res, width_multiplier=alpha)
+                for bpa in (2, 4):
+                    report = memory_table(spec, bytes_per_activation=bpa)
+                    want = perfbench.reference.memory_table_peak(alpha, res, bpa)
+                    assert (len(report.rows), report.peak_bytes) == want
+                    pooled = report.rows[-1]
+                    head = perfbench.reference.head_width(alpha)
+                    assert (pooled.resolution, pooled.channels) == (1, head)
+                    assert pooled.nbytes == head * bpa
+
     def test_published_column_within_tolerance(self):
         report = memory_table(ModelSpec(), bytes_per_activation=2)
         rows = {r.resolution: r for r in report.rows}

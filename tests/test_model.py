@@ -112,6 +112,22 @@ class TestStructure:
         with pytest.raises(InvalidShapeError):
             ModelSpec(resolution=res)
 
+    @pytest.mark.parametrize("kwargs,field", [
+        (dict(width_multiplier=0.34), "width_multiplier"),
+        (dict(width_multiplier=float("nan")), "width_multiplier"),
+        (dict(resolution=64), "resolution"),
+        (dict(resolution=100), "resolution"),
+        (dict(classes=0), "classes"),
+        (dict(classes=2**16 + 1), "classes"),
+        # Several fields out of range: width multiplier, resolution, classes.
+        (dict(width_multiplier=2.0, resolution=100, classes=0), "width_multiplier"),
+        (dict(resolution=100, classes=0), "resolution"),
+    ])
+    def test_error_names_the_first_field_out_of_range(self, kwargs, field):
+        with pytest.raises(InvalidShapeError) as info:
+            ModelSpec(**kwargs)
+        assert info.value.field == field
+
 
 class TestForward:
     def test_zero_everything_gives_zero_logits(self):

@@ -1,3 +1,6 @@
+from itertools import accumulate
+from math import comb
+
 import numpy as np
 import pytest
 from scipy.stats import spearmanr
@@ -130,6 +133,15 @@ class TestPreservedFraction:
     def test_past_float_range_of_two_to_the_m(self):
         # 2.0**1100 overflows; the exact integer divisor does not.
         assert relu_preserved_fraction(1, 1100) == 1.0
+
+    def test_same_bytes_as_the_direct_sum(self):
+        # Past the midpoint the complement sum_{j<n} C(m, j) is shorter; the
+        # numerator is the same integer, so the float is the same.
+        for m in range(1, 201):
+            direct = list(accumulate(comb(m, k) for k in range(m)))
+            for n in range(1, m + 1):
+                want = direct[m - n] / 2**m
+                assert relu_preserved_fraction(n, m).hex() == want.hex(), (n, m)
 
     def test_mc_within_four_standard_errors(self):
         for n, m, seed in ((2, 4, 3), (3, 3, 4), (2, 6, 5)):
