@@ -34,7 +34,6 @@ from .kernels import (  # noqa: F401
     add_residual,
     conv2d,
     depthwise_conv,
-    depthwise_plane,
     relu6,
 )
 from .tensor import assert_activation
@@ -126,15 +125,15 @@ def _group_forward(x, p: BottleneckParams, start: int, stop: int, tap):
     """Projection of expanded channels start..stop, without its bias: expand
     and depthwise, each ending in ReLU6, then project, all over views of the
     block's weights.  Without an expansion conv the group reads its own input
-    channels.  A large expansion writes straight into the depthwise input plane."""
+    channels.  The expansion names the depthwise stage it feeds, so a large
+    one writes straight into that stage's input plane."""
     depthwise = DepthwiseParams(p.stride, p.depthwise.weights[..., start:stop],
                                 p.depthwise.bias[start:stop])
     if p.expand is None:
         inner = x[..., start:stop]
     else:
         expand = Conv2dParams(1, p.expand.weights[..., start:stop], p.expand.bias[start:stop])
-        plane = depthwise_plane((*x.shape[:3], stop - start), depthwise.kernel, p.stride)
-        inner = conv2d(x, expand, activation="relu6", out=plane)
+        inner = conv2d(x, expand, activation="relu6", feeds=depthwise)
         if tap is not None:
             tap("expand", inner)
     inner = depthwise_conv(inner, depthwise, activation="relu6")

@@ -13,7 +13,9 @@ class InvalidShapeError(BottlenetError):
     """A tensor shape violates its invariants (zero dimension, wrong rank...).
     ``field`` names the ``ModelSpec`` field out of range, if one is."""
 
-    field: str | None = None
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 class ShapeMismatchError(BottlenetError):
@@ -50,7 +52,9 @@ class GraphError(BottlenetError):
     """A compute graph violates its invariants (cycle, duplicate producer...).
     ``record`` is ("tensor" or "op", index) of the offending node, if one is."""
 
-    record: tuple[str, int] | None = None
+    def __init__(self, message: str, record: tuple[str, int] | None = None):
+        super().__init__(message)
+        self.record = record
 
 
 class GraphTooLargeError(GraphError):

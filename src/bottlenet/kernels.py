@@ -16,10 +16,12 @@ window's inner axis is a run of ow*s stride-1 pixels, every s-th an output
 pixel; a stride-2 call of at least ``WIDE_STRIDE2`` channels steps over
 output pixels only (on fewer, that inner loop is too short to pay).  The
 input is copied into a plane with padding rows and columns, unless it is
-the interior of a ``depthwise_plane``, written in place by its producer:
-zero rows above and below each image and no padding columns, so each
-image is one block, with pl*c zeros before the first and (pr+s-1)*c after
-the last.  A window row there reads on across the row's end, and the taps
+the interior of a ``depthwise_plane``, which only this module allocates:
+``conv2d(..., feeds=stage)`` writes its output there when the size rule
+gives the depthwise stage it feeds a plane.  That plane has zero rows
+above and below each image and no padding columns, so each image is one
+block, with pl*c zeros before the first and (pr+s-1)*c after the last.
+A window row there reads on across the row's end, and the taps
 that would read a padding column are zeroed instead.  On finite input the
 bytes stay the tap loop's: a zeroed tap or a padding zero adds a signed
 zero to an accumulator that starts at +0.0 and so is never -0.0.  Only a
@@ -147,9 +149,11 @@ def _pad_same(x: np.ndarray, kernel: int, stride: int):
 
 
 def conv2d(x: np.ndarray, p: Conv2dParams, *, activation: str = "none",
-           out: np.ndarray | None = None) -> np.ndarray:
+           feeds: DepthwiseParams | None = None) -> np.ndarray:
     """Cross-correlation with SAME padding; output (b, ceil(h/s), ceil(w/s), d_out).
-    ``out`` (a ``depthwise_plane`` interior) takes one matmul per image."""
+    ``feeds`` is the depthwise stage that reads the output: when the size
+    rule gives that stage a ``depthwise_plane``, the output is its interior,
+    written by one matmul per image."""
     _check_activation(activation)
     assert_activation(x, "conv2d input")
     b, h, w, c = x.shape
@@ -170,10 +174,9 @@ def conv2d(x: np.ndarray, p: Conv2dParams, *, activation: str = "none",
             xp, (b, oh, ow, k, k * c), (sb, s * sy, s * sx, sy, xp.itemsize))
         rows = np.ascontiguousarray(win)
     weights = p.weights.reshape(k * k * c, d)
+    out = None if feeds is None else depthwise_plane((b, oh, ow, d), feeds.kernel, feeds.stride)
     if out is None:
         out = (rows.reshape(-1, k * k * c) @ weights).reshape(b, oh, ow, d)
-    elif out.shape != (b, oh, ow, d) or out.strides[1:] != (4 * ow * d, 4 * d, 4):
-        raise InvalidShapeError(f"conv2d out= needs float32 {(b, oh, ow, d)}, images contiguous")
     else:
         np.matmul(rows.reshape(b, oh * ow, k * k * c), weights, out=out.reshape(b, oh * ow, d))
     if p.bias.any():
@@ -194,7 +197,7 @@ def _plane_layout(b: int, h: int, w: int, c: int, k: int, s: int):
 
 def depthwise_plane(shape: tuple[int, int, int, int], kernel: int, stride: int):
     """The (b, h, w, c) interior of an input plane, zero outside it, that a
-    producer writes whole (``conv2d(out=...)``) and ``depthwise_conv`` reads
+    producer writes whole (``conv2d(feeds=...)``) and ``depthwise_conv`` reads
     in place; None for a call under ``PLANE_FLOATS`` floats or of one channel."""
     b, h, w, c = shape
     if c < 2 or b * h * w * c < PLANE_FLOATS:

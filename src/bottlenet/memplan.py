@@ -66,13 +66,6 @@ from .kernels import conv2d, depthwise_conv, relu6  # noqa: F401
 from .model import LayerRecord, ModelSpec, layer_walk
 
 
-def _broken(message: str, kind: str, index: int) -> GraphError:
-    """GraphError whose ``record`` names the node that breaks a graph rule."""
-    err = GraphError(message)
-    err.record = (kind, index)
-    return err
-
-
 @dataclass(frozen=True)
 class TensorNode:
     name: str
@@ -106,9 +99,9 @@ class ComputeGraph:
         named: dict[str, TensorNode] = {}
         for j, t in enumerate(tensors):
             if t.name in named:
-                raise _broken(f"duplicate tensor {t.name!r}", "tensor", j)
+                raise GraphError(f"duplicate tensor {t.name!r}", ("tensor", j))
             if t.nbytes < 0:
-                raise _broken(f"tensor {t.name!r} has negative size", "tensor", j)
+                raise GraphError(f"tensor {t.name!r} has negative size", ("tensor", j))
             named[t.name] = t
         self.tensors = MappingProxyType(named)
         self.ops: tuple[OpNode, ...] = tuple(ops)
@@ -117,18 +110,18 @@ class ComputeGraph:
         cons = dict.fromkeys(named, 0)
         for i, op in enumerate(self.ops):
             if op.name in self.op_index:
-                raise _broken(f"duplicate op {op.name!r}", "op", i)
+                raise GraphError(f"duplicate op {op.name!r}", ("op", i))
             self.op_index[op.name] = i
             if op.workspace < 0:
-                raise _broken(f"op {op.name!r} has negative workspace", "op", i)
+                raise GraphError(f"op {op.name!r} has negative workspace", ("op", i))
             if len(set(op.inputs)) != len(op.inputs):
-                raise _broken(f"op {op.name!r} lists an input twice", "op", i)
+                raise GraphError(f"op {op.name!r} lists an input twice", ("op", i))
             for t in op.inputs + op.outputs:
                 if t not in named:
-                    raise _broken(f"op {op.name!r} references unknown tensor {t!r}", "op", i)
+                    raise GraphError(f"op {op.name!r} references unknown tensor {t!r}", ("op", i))
             for t in op.outputs:
                 if t in producer:
-                    raise _broken(f"tensor {t!r} has two producers", "op", i)
+                    raise GraphError(f"tensor {t!r} has two producers", ("op", i))
                 producer[t] = i
             for t in op.inputs:
                 cons[t] |= 1 << i
@@ -424,6 +417,13 @@ def linear_bound_memory(g: ComputeGraph) -> int:
     return max(_walk(g, _only)[1], default=0)
 
 
+def _activation_bytes(bytes_per_activation: int) -> int:
+    """The bytes of one activation, which every byte model takes as 16 or 32 bits."""
+    if bytes_per_activation not in (2, 4):
+        raise InvalidShapeError(f"bytes_per_activation must be 2 or 4, got {bytes_per_activation}")
+    return bytes_per_activation
+
+
 def cascade_peak_bytes(
     p: BottleneckParams | LayerRecord,
     h: int,
@@ -440,7 +440,7 @@ def cascade_peak_bytes(
     """
     oh = -(-h // p.stride)
     ow = -(-w // p.stride)
-    bpa = bytes_per_activation
+    bpa = _activation_bytes(bytes_per_activation)
     in_bytes = batch * h * w * p.in_channels * bpa
     out_bytes = batch * oh * ow * p.out_channels * bpa
     inner = batch * plan.max_group * (h * w + oh * ow) * bpa
@@ -472,10 +472,7 @@ def memory_table(spec: ModelSpec, bytes_per_activation: int = 2) -> MemoryReport
     executed channel-by-channel and reports a single materialized
     channel, excluded from the overall peak.
     """
-    if bytes_per_activation not in (2, 4):
-        raise InvalidShapeError(
-            f"bytes_per_activation must be 2 or 4, got {bytes_per_activation}"
-        )
+    bpa = _activation_bytes(bytes_per_activation)
     per_res: dict[int, int] = {}
     for layer in layer_walk(spec):
         if layer.kind == "block":
@@ -490,11 +487,11 @@ def memory_table(spec: ModelSpec, bytes_per_activation: int = 2) -> MemoryReport
         rows.append(ResolutionRow(
             resolution=res,
             channels=channels,
-            nbytes=res * res * channels * bytes_per_activation,
+            nbytes=res * res * channels * bpa,
             streamed=streamed,
         ))
     h, w, c = pooled.out_shape
-    rows.append(ResolutionRow(h, c, h * w * c * bytes_per_activation))
+    rows.append(ResolutionRow(h, c, h * w * c * bpa))
     peak = max(r.nbytes for r in rows if not r.streamed)
     return MemoryReport(peak_bytes=peak, rows=rows)
 
@@ -512,17 +509,18 @@ def block_graph(
     where the high-resolution prefix is handled by streamed execution and
     the planner only sees the materialized tail.
     """
+    bpa = _activation_bytes(bytes_per_activation)
     chain = list(layer_walk(spec))[1:]  # after the stem
     if not 0 <= first_block < sum(layer.kind == "block" for layer in chain):
         raise GraphError(f"first_block {first_block} out of range")
     chain = chain[first_block:]
     outputs = {"head": "head_out", "avgpool": "pooled", "classifier": "logits"}
-    tensors = [TensorNode("in", bytes_per_activation * math.prod(chain[0].in_shape))]
+    tensors = [TensorNode("in", bpa * math.prod(chain[0].in_shape))]
     ops = []
     prev = "in"
     for layer in chain:
         out_name = outputs.get(layer.name, f"{layer.name}_out")
-        tensors.append(TensorNode(out_name, bytes_per_activation * math.prod(layer.out_shape)))
+        tensors.append(TensorNode(out_name, bpa * math.prod(layer.out_shape)))
         ops.append(OpNode(layer.name, (prev,), (out_name,)))
         prev = out_name
     return ComputeGraph(tensors, ops)

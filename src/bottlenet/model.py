@@ -33,7 +33,7 @@ from .blocks import (
     expanded_width,
 )
 from .errors import InvalidShapeError, ShapeMismatchError
-from .kernels import Conv2dParams, DepthwiseParams, conv2d, depthwise_plane, global_avgpool
+from .kernels import Conv2dParams, DepthwiseParams, conv2d, global_avgpool
 # relu6 is not called here; perfbench/tracing.py patches it by this name.
 from .kernels import relu6  # noqa: F401
 from .tensor import Rng, assert_activation
@@ -107,9 +107,7 @@ class ModelSpec:
             field, rule = "classes", f"classes must be in [1, {MAX_CLASSES}]"
         else:
             return
-        err = InvalidShapeError(f"{rule}, got {getattr(self, field)}")
-        err.field = field
-        raise err
+        raise InvalidShapeError(f"{rule}, got {getattr(self, field)}", field=field)
 
 
 @dataclass
@@ -135,18 +133,6 @@ Layer = Union[ConvLayer, BottleneckLayer, PoolLayer]
 # Optional override for how a bottleneck layer is executed (e.g. the
 # channel-split path); signature (input, params) -> output.
 BlockRunner = Callable[[np.ndarray, BottleneckParams], np.ndarray]
-
-
-def _input_plane(x: np.ndarray, conv: Conv2dParams, after: Layer | None):
-    """The depthwise plane that ``conv``'s output should be written into:
-    a following block without an expansion conv reads that output as its
-    depthwise input, in place.  None otherwise, or for a small call."""
-    if not isinstance(after, BottleneckLayer) or after.params.expand is not None:
-        return None
-    b, h, w, _ = x.shape
-    s = conv.stride
-    return depthwise_plane((b, -(-h // s), -(-w // s), conv.out_channels),
-                           after.params.depthwise.kernel, after.params.stride)
 
 
 @dataclass
@@ -175,8 +161,10 @@ class Model:
             )
         for layer, after in zip(self.layers, self.layers[1:] + [None]):
             if isinstance(layer, ConvLayer):
-                x = conv2d(x, layer.params, activation=layer.activation,
-                           out=_input_plane(x, layer.params, after))
+                # A block without an expansion conv reads this output in its depthwise stage.
+                block = after.params if isinstance(after, BottleneckLayer) else None
+                feeds = block.depthwise if block and block.expand is None else None
+                x = conv2d(x, layer.params, activation=layer.activation, feeds=feeds)
                 if tap is not None and layer.activation == "relu6":
                     tap(layer.name, x)
             elif isinstance(layer, BottleneckLayer):

@@ -6,9 +6,12 @@ no longer calls (``memplan``'s kernel imports, ``blocks.add_residual``)
 must still be importable there, or ``perfbench/run.py --trace 1`` fails.
 ``perfbench/adapters.py`` tags each block by walking ``spec.stages``, and
 its infer setup saves seeded weights that its ``Infer`` then loads.
+Those patched names are the only imports a module may leave unread.
 """
 
+import ast
 import importlib
+import pathlib
 
 import numpy as np
 import pytest
@@ -57,6 +60,32 @@ def test_kernel_bindings_resolve_to_the_kernels(tracing):
         for name in names:
             assert getattr(MODULES[module], name) is getattr(kernels, name), (module, name)
             assert name in tracing.KERNELS, name
+
+
+def module_imports(node):
+    """Names bound by the imports among a module's top-level statements,
+    inside ``try`` and ``if`` too, but not inside a function or class."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ImportFrom) and child.module == "__future__":
+            continue
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            yield from (a.asname or a.name.split(".")[0] for a in child.names)
+        elif not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from module_imports(child)
+
+
+SOURCES = sorted(pathlib.Path(kernels.__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_unread_imports_are_kernel_bindings(tracing, path):
+    # A name imported but never read is dead, unless perfbench patches it
+    # on this module by name; once a binding goes, so must its import.
+    tree = ast.parse(path.read_text())
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)
+            and isinstance(n.ctx, ast.Load)}
+    unread = set(module_imports(tree)) - read
+    assert unread <= set(tracing.KERNEL_BINDINGS.get(path.stem, ())), sorted(unread)
 
 
 @pytest.mark.parametrize("owner,name", TRACED, ids=lambda v: getattr(v, "__name__", v))

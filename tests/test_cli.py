@@ -527,11 +527,11 @@ class TestHarness:
 
     @pytest.mark.parametrize("split", [[], ["--split", "8"]], ids=["monolithic", "split8"])
     def test_inference_bits_stable_across_thread_counts(self, tmp_path, split):
-        # At alpha 0.35 / 96 px / batch 1 the logits are byte-identical at 1
-        # and 4 BLAS threads, monolithic and through the cascade alike.  This
-        # does not hold everywhere: at alpha 1.0 / 224 px the classifier's
-        # 1x1280 . 1280x1000 product changes bytes with the thread count
-        # (ROADMAP item 7).
+        # At alpha 0.35 / 96 px / batch 1 / 10 classes the logits are
+        # byte-identical at 1 and 4 BLAS threads, monolithic and through the
+        # cascade alike.  This does not hold everywhere: at 1,000 classes the
+        # classifier's 1x1280 . 1280x1000 product changes bytes with the
+        # thread count (ROADMAP item 5).
         outs = []
         for threads in ("1", "4"):
             path = tmp_path / f"t{threads}.bten"

@@ -274,11 +274,14 @@ class TestDepthwise:
     @given(
         b=st.integers(1, 3), h=st.integers(1, 17), w=st.integers(1, 17),
         c=st.integers(2, 130), kernel=st.sampled_from([1, 3]), stride=st.sampled_from([1, 2]),
-        seed=st.integers(0, 2**32 - 1),
+        edge=st.integers(-1, 1), seed=st.integers(0, 2**32 - 1),
     )
-    def test_plane_bytes_match_seed_loop(self, b, h, w, c, kernel, stride, seed):
+    def test_plane_bytes_match_seed_loop(self, b, h, w, c, kernel, stride, edge, seed):
         # Whichever path the size rule picks, an input written into a plane
         # and read in place gives the tap loop's bytes, as a copied one does.
+        # A producer that feeds the stage (a 1x1 conv, or a 3x3 stride-2 one
+        # like the stem) writes the plane exactly when the size rule, set
+        # ``edge`` floats past the call's size, gives one.
         rng = Rng(seed)
         x = rng.uniform((b, h, w, c), 0.0, 6.0)
         p = DepthwiseParams(stride, rng.normal((kernel, kernel, c)), rng.normal((c,)))
@@ -289,6 +292,19 @@ class TestDepthwise:
         want = seed_depthwise(x, p).tobytes()
         assert depthwise_conv(plane, p).tobytes() == want
         assert depthwise_conv(x, p).tobytes() == want
+        for k, s, shape in ((1, 1, (b, h, w, 5)), (3, 2, (b, 2 * h, 2 * w, 3))):
+            producer = Conv2dParams(s, rng.normal((k, k, shape[3], c), stddev=0.5),
+                                    rng.uniform((c,), 0.0, 1.0))
+            inp = rng.uniform(shape, -1.0, 1.0)
+            plain = conv2d(inp, producer, activation="relu6")
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(kernels, "PLANE_FLOATS", b * h * w * c + edge)
+                fed = conv2d(inp, producer, activation="relu6", feeds=p)
+                planned = kernels.depthwise_plane(plain.shape, kernel, stride)
+            assert fed.tobytes() == plain.tobytes()
+            assert (planned is not None) == (edge <= 0)
+            assert plane_layout(fed) == (None if planned is None else plane_layout(planned))
+            assert depthwise_conv(fed, p).tobytes() == seed_depthwise(plain, p).tobytes()
 
     def test_plane_is_read_in_place_above_the_size_rule(self):
         x = Rng(12).uniform((1, 64, 64, 32), 0.0, 6.0)
@@ -303,6 +319,15 @@ class TestDepthwise:
         plane.base[32 : 32 + 64 * 32] = 1.0
         assert not np.array_equal(depthwise_conv(plane, p), want)
         assert depthwise_conv(plane.copy(), p).tobytes() == want.tobytes()
+
+
+def plane_layout(t):
+    """(buffer floats, interior offset in bytes, strides) of a tensor that is
+    the interior of a flat buffer, as a plane is; None for any other."""
+    buf = t.base
+    if buf is None or buf.ndim != 1:
+        return None
+    return buf.size, t.ctypes.data - buf.ctypes.data, t.strides
 
 
 def assert_window_taps_in_order(rng, b, c, s, q, padded):

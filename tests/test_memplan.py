@@ -20,6 +20,7 @@ from bottlenet.memplan import (
     TensorNode,
     block_graph,
     cascade_execute,
+    cascade_peak_bytes,
     greedy_memory_schedule,
     linear_bound_memory,
     memory_table,
@@ -27,7 +28,7 @@ from bottlenet.memplan import (
     schedule_memory,
     unique_topological_order,
 )
-from bottlenet.model import ModelSpec, build_model, make_bottleneck
+from bottlenet.model import ModelSpec, build_model, layer_walk, make_bottleneck
 from bottlenet.tensor import Rng, max_abs_rel_diff, random_gaussian
 
 from conftest import (
@@ -476,8 +477,16 @@ class TestMemoryTable:
         assert full.peak_bytes == 2 * half.peak_bytes
 
     def test_other_bytes_rejected(self):
-        with pytest.raises(InvalidShapeError):
-            memory_table(ModelSpec(), bytes_per_activation=3)
+        # One activation-width rule for every byte model: 16 or 32 bits.
+        spec = ModelSpec()
+        block01 = next(r for r in layer_walk(spec) if r.kind == "block")
+        for bpa in (0, 3, -1):
+            for model in (lambda: memory_table(spec, bytes_per_activation=bpa),
+                          lambda: block_graph(spec, bytes_per_activation=bpa),
+                          lambda: cascade_peak_bytes(block01, 112, 112, CascadePlan(32, 1),
+                                                     bytes_per_activation=bpa)):
+                with pytest.raises(InvalidShapeError, match=f"must be 2 or 4, got {bpa}"):
+                    model()
 
 
 def positive_block(cin=64, cout=64, t=6, stride=1, seed=77):
