@@ -7,9 +7,10 @@ is deterministic given its full flag set; all randomness comes from
 explicit seeds.
 
 Exit codes: 0 success, 2 usage error, 3 data/format or file-system
-error, 4 internal invariant violation.  ``BTN_THREADS`` caps BLAS worker
-threads; it must be read before numpy loads, which is why the heavy
-imports live inside the command handlers.
+error, 4 internal invariant violation.  ``main`` pins BLAS to one thread,
+so logits bytes depend only on the flags.  The pin must come before
+numpy loads, which is why the heavy imports live inside the command
+handlers.
 """
 
 from __future__ import annotations
@@ -30,17 +31,6 @@ from .errors import (
 )
 
 FORMATS = ("csv", "json", "table")
-
-
-def _apply_thread_env() -> None:
-    value = os.environ.get("BTN_THREADS")
-    if value is None:
-        return
-    # str.isdigit alone accepts non-ASCII digits such as '²' and '٣'.
-    if not (value.isascii() and value.isdigit()) or int(value) < 1:
-        raise UsageError(f"BTN_THREADS must be a positive integer, got {value!r}")
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, value)
 
 
 def _model_spec(args):
@@ -199,9 +189,8 @@ def cmd_infer(args) -> int:
         if not np.isfinite(x).all():
             raise TensorFormatError(f"{args.input}: input holds a non-finite value")
         if x.shape[1:] != model.input_shape:
-            raise UsageError(
-                f"input tensor shape {x.shape[1:]} does not match --res {args.res}"
-            )
+            raise UsageError(f"input tensor shape {x.shape[1:]} does not match the "
+                             f"model input {model.input_shape} of --res {args.res}")
     else:
         x = random_gaussian((1, args.res, args.res, 3), Rng(args.input_seed))
     runner = None
@@ -400,8 +389,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # Once numpy is loaded (a host program calling main) its BLAS pool is set.
+    if "numpy" not in sys.modules:
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            os.environ[var] = "1"
     try:
-        _apply_thread_env()
         parser = build_parser()
         try:
             args = parser.parse_args(argv)

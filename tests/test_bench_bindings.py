@@ -88,6 +88,29 @@ def test_unread_imports_are_kernel_bindings(tracing, path):
     assert unread <= set(tracing.KERNEL_BINDINGS.get(path.stem, ())), sorted(unread)
 
 
+ENVIRONMENT = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}
+
+
+def environment_uses(tree):
+    """Line numbers where a module reads or writes the process environment
+    through ``os``, by attribute or by ``from os import``."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT
+                and isinstance(node.value, ast.Name) and node.value.id == "os"):
+            yield node.lineno
+        elif (isinstance(node, ast.ImportFrom) and node.module == "os"
+              and any(a.name in ENVIRONMENT for a in node.names)):
+            yield node.lineno
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_only_the_cli_touches_the_environment(path):
+    # The CLI's one-thread BLAS pin is the package's only environment rule;
+    # a module reading a variable would make its output depend on it.
+    lines = list(environment_uses(ast.parse(path.read_text())))
+    assert bool(lines) == (path.stem == "cli"), lines
+
+
 @pytest.mark.parametrize("owner,name", TRACED, ids=lambda v: getattr(v, "__name__", v))
 def test_traced_names_resolve(owner, name):
     assert callable(getattr(owner, name))

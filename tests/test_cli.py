@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -31,11 +32,15 @@ def run_cli(args, capsys):
 
 
 def run_subprocess(args, env_extra=None):
+    """Run the CLI in a child; an ``env_extra`` value of None unsets that variable."""
     env = dict(os.environ)
     # The child runs outside the repository, so the package path is absolute.
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    if env_extra:
-        env.update(env_extra)
+    for name, value in (env_extra or {}).items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
     return subprocess.run(
         [sys.executable, "-m", "bottlenet.cli", *args],
         capture_output=True, env=env, cwd="/tmp",
@@ -225,14 +230,15 @@ class TestInfer:
         validate(json.loads(out), "infer.schema.json", repo_root)
 
     def test_resolution_mismatch_exit_2(self, capsys, tmp_path):
-        bad = random_gaussian((1, 128, 128, 3), Rng(0))
+        # A wrong resolution, then a wrong channel count, at --res 96.
         path = tmp_path / "in.bten"
-        save_tensor(path, bad)
-        code, _, err = run_cli(
-            ["infer", *SMALL, "--random-weights", "--input", str(path),
-             "--out", str(tmp_path / "l.bten")], capsys)
-        assert code == 2
-        assert "--res" in err
+        for shape in [(1, 128, 128, 3), (1, 96, 96, 4)]:
+            save_tensor(path, random_gaussian(shape, Rng(0)))
+            code, _, err = run_cli(
+                ["infer", *SMALL, "--random-weights", "--input", str(path),
+                 "--out", str(tmp_path / "l.bten")], capsys)
+            assert code == 2
+            assert "--res" in err and "(96, 96, 3)" in err, err
 
     def test_missing_weight_source_exit_2(self, capsys, tmp_path):
         code, _, _ = run_cli(
@@ -518,20 +524,30 @@ class TestHarness:
         assert r.stdout == b""
         assert r.stderr.startswith(b"error:") and b"Traceback" not in r.stderr
 
-    def test_thread_env_honored(self):
-        r = run_subprocess(["summarize", *SMALL, "--format", "csv"],
-                           env_extra={"BTN_THREADS": "1"})
-        assert r.returncode == 0
-        base = run_subprocess(["summarize", *SMALL, "--format", "csv"])
-        assert r.stdout == base.stdout
+    @pytest.mark.parametrize("value", ["1", "nope", "\u00b2", "\u0663"])
+    def test_removed_thread_env_is_ignored(self, value):
+        # BTN_THREADS is no longer read: any value, even one that is not a
+        # count, leaves the exit code and stdout as they are without it.
+        argv = ["summarize", *SMALL, "--format", "csv"]
+        base = run_subprocess(argv)
+        assert base.returncode == 0
+        r = run_subprocess(argv, env_extra={"BTN_THREADS": value})
+        assert (r.returncode, r.stdout) == (0, base.stdout)
+
+    def test_thread_env_honored(self, capsys, monkeypatch):
+        # numpy is loaded here, so the thread pin cannot act and leaves the
+        # host's own thread setting and the rest of its environment alone.
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        before = dict(os.environ)
+        assert cli.main(["summarize", *SMALL, "--format", "csv"]) == 0
+        capsys.readouterr()
+        assert dict(os.environ) == before
 
     @pytest.mark.parametrize("split", [[], ["--split", "8"]], ids=["monolithic", "split8"])
     def test_inference_bits_stable_across_thread_counts(self, tmp_path, split):
-        # At alpha 0.35 / 96 px / batch 1 / 10 classes the logits are
-        # byte-identical at 1 and 4 BLAS threads, monolithic and through the
-        # cascade alike.  This does not hold everywhere: at 1,000 classes the
-        # classifier's 1x1280 . 1280x1000 product changes bytes with the
-        # thread count (ROADMAP item 5).
+        # The CLI runs BLAS on one thread, so BTN_THREADS, which it no longer
+        # reads, changes no byte.  test_logits_bytes_ignore_blas_threads sets
+        # the BLAS thread variable itself, at 1,000 classes.
         outs = []
         for threads in ("1", "4"):
             path = tmp_path / f"t{threads}.bten"
@@ -543,11 +559,37 @@ class TestHarness:
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
 
-    # str.isdigit() accepts the superscript and the Arabic-Indic digit.
-    @pytest.mark.parametrize("value", ["nope", "\u00b2", "\u0663"])
-    def test_bad_thread_env_exit_2(self, value):
-        r = run_subprocess(["summarize", *SMALL], env_extra={"BTN_THREADS": value})
-        assert r.returncode == 2
+    # SHA-1 of the logits file at one BLAS thread.  Unpinned, all but the
+    # last case give other bytes at 2 threads: the classifier's
+    # 1x1280 . 1280x1000 product at batch 1, and block15's 75x720 . 720x120
+    # projection at alpha 0.75 / 160 px / batch 3.
+    @pytest.mark.parametrize("alpha,res,batch,split,digest", [
+        ("1.0", 224, 1, [], "22eb0bfcd825e38896fc4ed53a540527bb26de54"),
+        ("1.0", 224, 1, ["--split", "8"], "5893934f50e7ea8788daa6f04bd07f95c81c31f3"),
+        ("0.35", 96, 1, [], "c1058a8bde341909b5e6ea6a2a626b084986ff34"),
+        ("0.35", 96, 1, ["--split", "8"], "f2148ebe8abd7e0dd7ae39e03d77349fcc348dbc"),
+        ("0.75", 160, 3, [], "10d58bb289b5701f1b54c327cd42c8ccbd007ac9"),
+        ("0.75", 160, 3, ["--split", "8"], "f1e891946a516093890abba4861fb84396712aa0"),
+    ], ids=["1.0-224-b1", "1.0-224-b1-split8", "0.35-96-b1", "0.35-96-b1-split8",
+            "0.75-160-b3", "0.75-160-b3-split8"])
+    def test_logits_bytes_ignore_blas_threads(self, tmp_path, alpha, res, batch, split,
+                                              digest):
+        if batch == 1:
+            source = ["--random-input", "--input-seed", "4"]
+        else:
+            source = ["--input", str(tmp_path / "in.bten")]
+            save_tensor(source[1], random_gaussian((batch, res, res, 3), Rng(4)))
+        out = tmp_path / "logits.bten"
+        argv = ["infer", "--alpha", alpha, "--res", str(res), "--random-weights",
+                "--seed", "3", *source, *split, "--out", str(out)]
+        # OpenBLAS unset (one thread per core), 1, 2 and 4, each with another
+        # BTN_THREADS; no OMP or MKL variable stands in for the unset one.
+        for blas, knob in ((None, "2"), ("1", "4"), ("2", "1"), ("4", "3")):
+            r = run_subprocess(argv, env_extra={
+                "OPENBLAS_NUM_THREADS": blas, "OMP_NUM_THREADS": None,
+                "MKL_NUM_THREADS": None, "BTN_THREADS": knob})
+            assert r.returncode == 0, r.stderr
+            assert hashlib.sha1(out.read_bytes()).hexdigest() == digest, blas
 
 
 def argv_chars(exclude=""):
