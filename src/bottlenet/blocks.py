@@ -102,9 +102,9 @@ class CascadePlan:
     split: int = 1
 
     def __post_init__(self):
-        if not 1 <= self.split <= self.channels:
-            raise InvalidShapeError(
-                f"split must be in [1, {self.channels}], got {self.split}")
+        if not (type(self.channels) is type(self.split) is int
+                and 1 <= self.split <= self.channels):
+            raise InvalidShapeError(f"need int channels and split in [1, channels], got {self}")
 
     @property
     def groups(self) -> tuple[tuple[int, int], ...]:

@@ -55,7 +55,7 @@ import json
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -66,38 +66,46 @@ from .kernels import conv2d, depthwise_conv, relu6  # noqa: F401
 from .model import LayerRecord, ModelSpec, layer_walk
 
 
-@dataclass(frozen=True)
-class TensorNode:
+class TensorNode(NamedTuple):
+    """A tensor of ``nbytes`` bytes.  Nodes compare equal to the plain tuple of their fields."""
     name: str
     nbytes: int
 
 
-@dataclass(frozen=True)
-class OpNode:
+class OpNode(NamedTuple):
+    """An op over named tensors, with ``workspace`` bytes live during its step only."""
     name: str
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
     workspace: int = 0
 
 
+# Each JSON-lines record kind: its node and its keys, in the node's field order.
+_RECORDS = {"tensor": (TensorNode, ("name", "bytes")),
+            "op": (OpNode, ("name", "inputs", "outputs", "workspace"))}
+
+
 class ComputeGraph:
     """DAG of operations over sized tensors; every non-source tensor has
     exactly one producer.
 
-    The constructor checks the graph and builds, once, the integer tables
-    the walk and the search read, so ``ops`` and ``tensors`` are read-only:
-    ``op_index`` (op name to index); ``rows``, one per op: (index, bit,
-    predecessor mask, bytes the step adds (outputs plus workspace), bytes
-    its outputs keep live, ((consumer mask, bytes) per input)); ``succs``,
-    each op's successors, each listed once; and ``live0``, the bytes of
-    the consumed graph inputs, live before any op runs.  Each walk or
-    search seeds its ready mask with the ops of no predecessor and, after
-    an op runs, adds each successor whose predecessor mask has all run.
+    The constructor checks each field's type (no bool for int), then the
+    graph rules, and builds, once, the integer tables the walk and the
+    search read, so ``ops`` and ``tensors`` are read-only: ``op_index``
+    (op name to index); ``rows``, one per op: (index, bit, predecessor
+    mask, bytes the step adds (outputs plus workspace), bytes its outputs
+    keep live, ((consumer mask, bytes) per input)); ``succs``, each op's
+    successors, each listed once; and ``live0``, the bytes of the consumed
+    graph inputs, live before any op runs.  Each walk or search seeds its
+    ready mask with the ops of no predecessor and, after an op runs, adds
+    each successor whose predecessor mask has all run.
     """
 
     def __init__(self, tensors: Iterable[TensorNode], ops: Iterable[OpNode]):
         named: dict[str, TensorNode] = {}
         for j, t in enumerate(tensors):
+            if type(t.name) is not str or type(t.nbytes) is not int:
+                raise GraphError(f"tensor {t.name!r} needs a str name and int size", ("tensor", j))
             if t.name in named:
                 raise GraphError(f"duplicate tensor {t.name!r}", ("tensor", j))
             if t.nbytes < 0:
@@ -109,6 +117,10 @@ class ComputeGraph:
         producer: dict[str, int] = {}
         cons = dict.fromkeys(named, 0)
         for i, op in enumerate(self.ops):
+            if not (type(op.name) is str and type(op.inputs) is type(op.outputs) is tuple
+                    and all(type(t) is str for t in op.inputs + op.outputs)
+                    and type(op.workspace) is int):
+                raise GraphError(f"op {op.name!r} needs str names and int workspace", ("op", i))
             if op.name in self.op_index:
                 raise GraphError(f"duplicate op {op.name!r}", ("op", i))
             self.op_index[op.name] = i
@@ -156,38 +168,28 @@ class ComputeGraph:
             raise GraphError("compute graph contains a cycle")
 
     def dump_jsonl(self, fp) -> None:
-        for t in self.tensors.values():
-            fp.write(json.dumps({"kind": "tensor", "name": t.name, "bytes": t.nbytes}) + "\n")
-        for op in self.ops:
-            fp.write(json.dumps({
-                "kind": "op", "name": op.name, "inputs": list(op.inputs),
-                "outputs": list(op.outputs), "workspace": op.workspace,
-            }) + "\n")
+        for kind, nodes in (("tensor", self.tensors.values()), ("op", self.ops)):
+            for node in nodes:
+                fp.write(json.dumps({"kind": kind, **dict(zip(_RECORDS[kind][1], node))}) + "\n")
 
     @classmethod
     def load_jsonl(cls, fp) -> "ComputeGraph":
-        """Read what ``dump_jsonl`` writes.  GraphError names the first line
-        that is not an object of a kind in ``_RECORDS`` with exactly typed
-        fields (no bool for int, only str in lists, an op's ``workspace`` 0 if
-        absent), or else the record that breaks a graph rule (of two
-        duplicates, the second); a cycle has no one line."""
-        nodes = {"tensor": [], "op": []}
+        """Read what ``dump_jsonl`` writes, lists as tuples and an op's ``workspace``
+        0 if absent.  GraphError first names, as the file is read, a line that is
+        not a JSON object of a ``_RECORDS`` kind with all its keys; then the
+        constructor judges type and graph rules, tensors before ops, naming the
+        breaking record's line (of two duplicates, the second; a cycle has none)."""
+        nodes = {kind: [] for kind in _RECORDS}
         lines = {}  # (kind, index) of each record: its line
         for lineno, line in enumerate(fp, 1):
             if not line.strip():
                 continue
             try:
                 rec = {"workspace": 0, **json.loads(line)}
-                node, fields = _RECORDS[rec["kind"]]
+                node, keys = _RECORDS[rec["kind"]]
+                values = [tuple(rec[k]) if type(rec[k]) is list else rec[k] for k in keys]
             except (ValueError, TypeError, KeyError):
                 raise GraphError(f"line {lineno}: not a JSON tensor or op record") from None
-            values = []
-            for key, typ in fields.items():
-                value = rec.get(key)
-                if type(value) is not typ or typ is list and not all(type(v) is str for v in value):
-                    what = "a list of str" if typ is list else typ.__name__
-                    raise GraphError(f"line {lineno}: {rec['kind']} {key!r} must be {what}")
-                values.append(tuple(value) if typ is list else value)
             lines[rec["kind"], len(nodes[rec["kind"]])] = lineno
             nodes[rec["kind"]].append(node(*values))
         try:
@@ -197,10 +199,6 @@ class ComputeGraph:
                 raise
             raise GraphError(f"line {lines[exc.record]}: {exc}") from None
 
-
-# Each record's node and fields, in the order the node takes them.
-_RECORDS = {"tensor": (TensorNode, {"name": str, "bytes": int}),
-            "op": (OpNode, {"name": str, "inputs": list, "outputs": list, "workspace": int})}
 
 
 @dataclass
@@ -419,7 +417,7 @@ def linear_bound_memory(g: ComputeGraph) -> int:
 
 def _activation_bytes(bytes_per_activation: int) -> int:
     """The bytes of one activation, which every byte model takes as 16 or 32 bits."""
-    if bytes_per_activation not in (2, 4):
+    if type(bytes_per_activation) is not int or bytes_per_activation not in (2, 4):
         raise InvalidShapeError(f"bytes_per_activation must be 2 or 4, got {bytes_per_activation}")
     return bytes_per_activation
 

@@ -100,11 +100,12 @@ class ModelSpec:
         if not MIN_WIDTH_MULTIPLIER <= alpha <= MAX_WIDTH_MULTIPLIER:
             field = "width_multiplier"
             rule = f"width multiplier must be in [{MIN_WIDTH_MULTIPLIER}, {MAX_WIDTH_MULTIPLIER}]"
-        elif not (MIN_RESOLUTION <= res <= MAX_RESOLUTION and res % 32 == 0):
+        elif not (type(res) is int and MIN_RESOLUTION <= res <= MAX_RESOLUTION and res % 32 == 0):
             field = "resolution"
-            rule = f"resolution must be a multiple of 32 in [{MIN_RESOLUTION}, {MAX_RESOLUTION}]"
-        elif not 1 <= classes <= MAX_CLASSES:
-            field, rule = "classes", f"classes must be in [1, {MAX_CLASSES}]"
+            rule = ("resolution must be an int multiple of 32 in "
+                    f"[{MIN_RESOLUTION}, {MAX_RESOLUTION}]")
+        elif not (type(classes) is int and 1 <= classes <= MAX_CLASSES):
+            field, rule = "classes", f"classes must be an int in [1, {MAX_CLASSES}]"
         else:
             return
         raise InvalidShapeError(f"{rule}, got {getattr(self, field)}", field=field)

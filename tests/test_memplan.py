@@ -15,6 +15,7 @@ from bottlenet.blocks import bottleneck_forward
 from bottlenet.errors import GraphError, GraphTooLargeError, InvalidShapeError
 from bottlenet.memplan import (
     CascadePlan,
+    _RECORDS,
     ComputeGraph,
     OpNode,
     TensorNode,
@@ -480,7 +481,7 @@ class TestMemoryTable:
         # One activation-width rule for every byte model: 16 or 32 bits.
         spec = ModelSpec()
         block01 = next(r for r in layer_walk(spec) if r.kind == "block")
-        for bpa in (0, 3, -1):
+        for bpa in (0, 3, -1, 4.0, 2.0):
             for model in (lambda: memory_table(spec, bytes_per_activation=bpa),
                           lambda: block_graph(spec, bytes_per_activation=bpa),
                           lambda: cascade_peak_bytes(block01, 112, 112, CascadePlan(32, 1),
@@ -512,9 +513,9 @@ class TestCascade:
         assert CascadePlan.from_split(8, 9).groups == tuple((i, i + 1) for i in range(8))
 
     def test_plan_validation(self):
-        for split in (0, -1, 9):
+        for channels, split in ((8, 0), (8, -1), (8, 9), (8, 2.5), (8.0, 2), (8, True)):
             with pytest.raises(InvalidShapeError):
-                CascadePlan(8, split)
+                CascadePlan(channels, split)
 
     def test_single_group_is_monolithic(self):
         p, x = positive_block()
@@ -705,17 +706,28 @@ class TestSharedProducer:
         assert g.succs == [[1], []]
 
 
+def reloaded(g):
+    buf = io.StringIO()
+    g.dump_jsonl(buf)
+    buf.seek(0)
+    return ComputeGraph.load_jsonl(buf)
+
+
 class TestGraphSerialization:
-    def test_jsonl_round_trip(self):
-        g = diamond_graph()
-        buf = io.StringIO()
-        g.dump_jsonl(buf)
-        buf.seek(0)
-        back = ComputeGraph.load_jsonl(buf)
-        assert set(back.tensors) == set(g.tensors)
-        assert [op.name for op in back.ops] == [op.name for op in g.ops]
-        assert linear_bound_memory(chain_graph()) == 300  # smoke: helpers intact
-        _, peak = min_memory_schedule(back)
+    @settings(max_examples=200, deadline=None)
+    @given(general_dags())
+    def test_jsonl_round_trip(self, g):
+        # Every graph the constructor accepts reloads to the same tables.
+        back = reloaded(g)
+        assert list(back.tensors.items()) == list(g.tensors.items())
+        assert back.ops == g.ops
+        assert (back.rows, back.succs, back.live0) == (g.rows, g.succs, g.live0)
+
+    def test_diamond_round_trip(self):
+        # One key per node field, so the writer and the reader name the same fields.
+        for node, keys in _RECORDS.values():
+            assert len(keys) == len(node._fields)
+        _, peak = min_memory_schedule(reloaded(diamond_graph()))
         assert peak == 260
 
 
@@ -763,6 +775,24 @@ class TestGraphValidation:
         with pytest.raises(GraphError, match="negative workspace"):
             ComputeGraph([TensorNode("a", 10), TensorNode("b", 100)],
                          [OpNode("f", ("a",), ("b",), workspace=-1000)])
+
+    @pytest.mark.parametrize("node", [
+        TensorNode("w", 1.7),
+        TensorNode("w", True),
+        TensorNode(7, 4),
+        OpNode("f", "xy", ("z",)),
+        OpNode("f", ("x", 1), ("z",)),
+        OpNode("f", ("x",), "z"),
+        OpNode("f", ("x",), ("z",), workspace=2.5),
+    ], ids=["bytes-float", "bytes-bool", "name-number", "inputs-string", "inputs-number",
+            "outputs-string", "workspace-float"])
+    def test_field_types_checked(self, node):
+        # The type cases of test_malformed_jsonl_line_named, built directly.
+        tensors, ops = [TensorNode("x", 1), TensorNode("y", 2), TensorNode("z", 3)], []
+        (ops if isinstance(node, OpNode) else tensors).append(node)
+        with pytest.raises(GraphError, match=" needs ") as info:
+            ComputeGraph(tensors, ops)
+        assert info.value.record == (("op", 0) if ops else ("tensor", 3))
 
     def test_negative_workspace_rejected_from_jsonl(self):
         buf = io.StringIO(

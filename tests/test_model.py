@@ -122,6 +122,11 @@ class TestStructure:
         # Several fields out of range: width multiplier, resolution, classes.
         (dict(width_multiplier=2.0, resolution=100, classes=0), "width_multiplier"),
         (dict(resolution=100, classes=0), "resolution"),
+        # Counts are exact: a float or bool is refused, even at an allowed value.
+        (dict(resolution=224.0), "resolution"),
+        (dict(resolution=True), "resolution"),
+        (dict(classes=10.5), "classes"),
+        (dict(classes=True), "classes"),
     ])
     def test_error_names_the_first_field_out_of_range(self, kwargs, field):
         with pytest.raises(InvalidShapeError) as info:
